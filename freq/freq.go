@@ -103,10 +103,18 @@ func checkWeights[T comparable](items []T, weights []int64) error {
 	}
 	for _, w := range weights {
 		if w < 0 {
-			return fmt.Errorf("%w: %d (use freq.Signed for deletions)", ErrNegativeWeight, w)
+			return negativeWeight(w)
 		}
 	}
 	return nil
+}
+
+// negativeWeight is the rejection the facade's updates and batches and
+// the Writer's pair blocks return for a negative weight, so a server
+// answers a rejected block with the same ERR line whichever framing
+// carried it. It wraps ErrNegativeWeight.
+func negativeWeight(w int64) error {
+	return fmt.Errorf("%w: %d (use freq.Signed for deletions)", ErrNegativeWeight, w)
 }
 
 // New returns a sketch tracking up to k counters, configured by opts. The
@@ -150,7 +158,7 @@ func mapCoreErr(err error) error {
 // negative weights return ErrNegativeWeight (use Signed for deletions).
 func (s *Sketch[T]) Update(item T, weight int64) error {
 	if weight < 0 {
-		return fmt.Errorf("%w: %d (use freq.Signed for deletions)", ErrNegativeWeight, weight)
+		return negativeWeight(weight)
 	}
 	if s.fast != nil {
 		return s.fast.Update(asInt64(item), weight)

@@ -263,9 +263,7 @@ func (c *conn) pairsFrameV2(n uint32) (ok bool) {
 		c.errFrame(err.Error())
 		return true
 	}
-	s.statsMu.Lock()
-	s.updates += int64(len(pairs))
-	s.statsMu.Unlock()
+	s.updates.Add(int64(len(pairs)))
 	c.okFrame(len(pairs))
 	return true
 }
@@ -313,9 +311,7 @@ func (c *conn) ingestPairs(pairs []freq.Pair[int64]) error {
 			}
 		}
 	}
-	s.statsMu.Lock()
-	s.updates += int64(len(pairs))
-	s.statsMu.Unlock()
+	s.updates.Add(int64(len(pairs)))
 	return nil
 }
 

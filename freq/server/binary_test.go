@@ -305,7 +305,7 @@ func TestBinarySoakWeightConservation(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, _, err := c.QueryRange(base, base.Add(time.Hour), 1); err != nil {
+				if _, _, _, err := c.Range(base, base.Add(time.Hour)).Query(1); err != nil {
 					readerErr <- err
 					return
 				}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/freq"
+	"repro/freq/tenant"
 )
 
 // Client speaks the line protocol to a Server. It is generic over the
@@ -25,6 +26,29 @@ import (
 // wrapper suitable for collectors and tests; it is not safe for
 // concurrent use (open one per goroutine — the server side is
 // concurrent).
+//
+// # Scopes
+//
+// A Client is a handle on one scope of the server's summaries. Dial
+// returns the global all-time scope; Tenant, Window and Range derive
+// handles scoped to one tenant, to the merged view of the last w window
+// intervals, or to the stored history over [from, to), and compose:
+//
+//	alice, _ := c.Tenant("alice")
+//	rows, err := alice.Window(5).TopK(10) // TENANT alice WIN 5 TOPK 10
+//
+// Every handle has the same verb methods, each sending its command
+// behind the handle's scope prefix, and the server decides what a scope
+// supports: HH, Stats, Rotate, Reset and Evict are all-time verbs
+// (Evict on a tenant handle), and a handle outside their scope gets the
+// server's ERR. Update and UpdateBatch on a Window or Range handle fail
+// locally instead: windows and stored history are fed by the all-time
+// ingest, never written directly. Deriving a handle costs no network
+// round trip, so a collector multiplexing many tenants holds one handle
+// per tenant over a single connection. Handles share their parent's
+// connection, framing, fault-tolerance policy and Close, so handles of
+// one Client must not be used concurrently with each other (they
+// interleave on one reply stream).
 //
 // Client implements freq.Queryable[T], so the freq.Query builder runs
 // against a remote summary exactly as against a local sketch. The
@@ -39,21 +63,36 @@ import (
 // A dialed client survives a flaky network when configured to:
 // WithDialTimeout and WithIOTimeout bound every connect, read, and
 // write with deadlines; WithRetry makes the idempotent read commands
-// (EST, TOPK, FI, HH, STATS, SNAP, and their WIN/RANGE-scoped forms)
-// retry transport failures with jittered exponential backoff,
-// transparently re-dialing and re-negotiating the binary framing. The
-// non-idempotent ingest commands (Update, UpdateBatch) are NEVER
-// auto-retried — a lost acknowledgement is indistinguishable from a
-// lost request, so re-sending could double count; they return a
-// *TransportError and let the caller decide. After any transport
-// failure the connection is marked broken and the next operation
-// re-dials first (when the client knows its address), so a recovered
-// server is picked back up without new client state.
+// (EST, TOPK, FI, HH, STATS, SNAP — in every scope) retry transport
+// failures with jittered exponential backoff, transparently re-dialing
+// and re-negotiating the binary framing. The non-idempotent ingest
+// commands (Update, UpdateBatch) are NEVER auto-retried — a lost
+// acknowledgement is indistinguishable from a lost request, so
+// re-sending could double count; they return a *TransportError and let
+// the caller decide. After any transport failure the connection is
+// marked broken and the next operation re-dials first (when the client
+// knows its address), so a recovered server is picked back up without
+// new client state.
 type Client[T ~int64 | ~uint64] struct {
+	*clientConn
+	// tenant is the handle's tenant id ("" = global) and span its
+	// window or range scope ("" = all-time, else "WIN <w> " or
+	// "RANGE <from> <to> "). scope is the prefix every command carries —
+	// sent as its own argument, never inside a format string, so no
+	// tenant id can be misread as formatting directives — and label the
+	// same scope without arguments, for TransportError op names.
+	tenant, span string
+	scope, label string
+	// err is the first error this handle's freq.Queryable methods hit.
+	err error
+}
+
+// clientConn is the connection state every handle of one Client
+// shares: the stream, its framing, and the fault-tolerance policy.
+type clientConn struct {
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
-	err  error
 	// bin is set by a successful Negotiate: requests travel as opCmd and
 	// opPairs frames and replies arrive as opReply frames whose payload
 	// is byte-for-byte the text protocol's reply. binVer is the
@@ -195,24 +234,79 @@ func Dial[T ~int64 | ~uint64](addr string, opts ...ClientOption) (*Client[T], er
 // client starts in text framing; call Negotiate to attempt the binary
 // upgrade.
 func NewClient[T ~int64 | ~uint64](conn net.Conn) *Client[T] {
-	return &Client[T]{
+	return &Client[T]{clientConn: &clientConn{
 		conn: conn,
 		r:    bufio.NewReader(conn),
 		w:    bufio.NewWriter(conn),
+	}}
+}
+
+// Tenant returns a handle scoped to tenant id, keeping this handle's
+// window or range scope. The id is validated locally (1..128 printable
+// non-space ASCII bytes — the same rule the server's manager enforces);
+// no network traffic happens and no tenant is created server-side until
+// the first command touches it.
+func (c *Client[T]) Tenant(id string) (*Client[T], error) {
+	if !tenant.ValidID(id) {
+		return nil, fmt.Errorf("client: %w: %q", tenant.ErrBadID, id)
 	}
+	return c.with(id, c.span), nil
+}
+
+// Window returns a handle scoped to the merged view of the last w
+// intervals of this handle's sliding window (the global window, or a
+// tenant's twin) — the WIN command. It replaces any window or range
+// scope the handle had. Its reads error when the server runs without a
+// window; its snapshot is an ordinary sketch, so it merges and queries
+// like any other (Cluster.RefreshWindow fans it out).
+func (c *Client[T]) Window(w int) *Client[T] {
+	return c.with(c.tenant, fmt.Sprintf("WIN %d ", w))
+}
+
+// Range returns a handle scoped to the merged summary of every window
+// slot the server's durable store persisted over [from, to) — the RANGE
+// command, bounds travelling as unix seconds. A tenant handle's range
+// includes history persisted by idle eviction, so an evicted tenant's
+// past stays queryable. It replaces any window or range scope the
+// handle had, and its reads error when the server runs without a store.
+func (c *Client[T]) Range(from, to time.Time) *Client[T] {
+	return c.with(c.tenant, fmt.Sprintf("RANGE %d %d ", from.Unix(), to.Unix()))
+}
+
+// with returns a handle on c's connection scoped to tenant id and span.
+func (c *Client[T]) with(id, span string) *Client[T] {
+	h := &Client[T]{clientConn: c.clientConn, tenant: id, span: span, scope: span}
+	if id != "" {
+		h.scope, h.label = "TENANT "+id+" "+span, "TENANT "
+	}
+	if verb, _, ok := strings.Cut(span, " "); ok {
+		h.label += verb + " "
+	}
+	return h
+}
+
+// writable rejects updates through a Window or Range handle: both views
+// are fed by the all-time ingest. Failing locally also keeps a UB
+// block's pair lines off the wire behind a scope the server would
+// reject, which would desynchronize the stream.
+func (c *Client[T]) writable() error {
+	if c.span != "" {
+		return fmt.Errorf("client: updates need an all-time scope, not %q", strings.TrimSpace(c.span))
+	}
+	return nil
 }
 
 // armRead arms the read deadline for one conn operation when an IO
 // timeout is configured. Suppressed while an external abort deadline is
 // in force (see abort).
-func (c *Client[T]) armRead() {
+func (c *clientConn) armRead() {
 	if c.ioTimeout > 0 && !c.aborted.Load() {
 		c.conn.SetReadDeadline(time.Now().Add(c.ioTimeout))
 	}
 }
 
 // armWrite arms the write deadline for one conn operation.
-func (c *Client[T]) armWrite() {
+func (c *clientConn) armWrite() {
 	if c.ioTimeout > 0 && !c.aborted.Load() {
 		c.conn.SetWriteDeadline(time.Now().Add(c.ioTimeout))
 	}
@@ -223,7 +317,7 @@ func (c *Client[T]) armWrite() {
 // clearAbort. Safe to call from another goroutine (the Cluster's
 // per-node refresh timeout is an AfterFunc); conn deadlines are
 // documented as concurrency-safe.
-func (c *Client[T]) abort() {
+func (c *clientConn) abort() {
 	c.aborted.Store(true)
 	c.conn.SetDeadline(time.Now())
 }
@@ -231,7 +325,7 @@ func (c *Client[T]) abort() {
 // clearAbort lifts an abort. The connection stays marked broken by the
 // failed operation itself, so the next use reconnects rather than
 // trusting a desynchronized stream.
-func (c *Client[T]) clearAbort() {
+func (c *clientConn) clearAbort() {
 	if c.aborted.Swap(false) {
 		c.conn.SetDeadline(time.Time{})
 	}
@@ -239,11 +333,11 @@ func (c *Client[T]) clearAbort() {
 
 // Retries returns how many retry round trips this client has performed
 // (diagnostics; reconnects that precede a first attempt don't count).
-func (c *Client[T]) Retries() int64 { return c.retryCount }
+func (c *clientConn) Retries() int64 { return c.retryCount }
 
 // Addr returns the dial target, or the remote address for a client
 // wrapped around an existing connection.
-func (c *Client[T]) Addr() string {
+func (c *clientConn) Addr() string {
 	if c.addr != "" {
 		return c.addr
 	}
@@ -257,7 +351,7 @@ func (c *Client[T]) Addr() string {
 // re-negotiates the framing the caller originally asked for. It returns
 // a *TransportError when the client has no redial target (NewClient
 // over a raw conn) or the dial fails.
-func (c *Client[T]) reconnect() error {
+func (c *clientConn) reconnect() error {
 	if c.redial == nil {
 		return &TransportError{Op: "DIAL", Attempts: 1,
 			Err: errors.New("connection broken and no redial target (wrap with Dial to enable reconnects)")}
@@ -293,7 +387,7 @@ func (c *Client[T]) reconnect() error {
 // something unparseable on an intact stream) are returned as-is and
 // never retried; transport failures poison the connection and surface
 // as *TransportError.
-func (c *Client[T]) do(op string, idempotent bool, fn func() error) error {
+func (c *clientConn) do(op string, idempotent bool, fn func() error) error {
 	attempts := 0
 	for {
 		attempts++
@@ -335,7 +429,7 @@ func (c *Client[T]) do(op string, idempotent bool, fn func() error) error {
 // throughout. It returns (true, nil) on upgrade and (false, nil) when
 // every version was declined. Only transport failures return an error.
 // Negotiate is a no-op on an already-binary connection.
-func (c *Client[T]) Negotiate() (bool, error) {
+func (c *clientConn) Negotiate() (bool, error) {
 	if c.bin {
 		return true, nil
 	}
@@ -367,11 +461,11 @@ func (c *Client[T]) Negotiate() (bool, error) {
 }
 
 // Binary reports whether the connection negotiated the binary framing.
-func (c *Client[T]) Binary() bool { return c.bin }
+func (c *clientConn) Binary() bool { return c.bin }
 
 // BinaryVersion returns the negotiated binary framing version, 0 while
 // in text framing.
-func (c *Client[T]) BinaryVersion() int {
+func (c *clientConn) BinaryVersion() int {
 	if !c.bin {
 		return 0
 	}
@@ -379,7 +473,7 @@ func (c *Client[T]) BinaryVersion() int {
 }
 
 // writeFrame ships one framed request and flushes it.
-func (c *Client[T]) writeFrame(op byte, payload []byte) error {
+func (c *clientConn) writeFrame(op byte, payload []byte) error {
 	c.armWrite()
 	var hdr [frameHeader]byte
 	hdr[0] = op
@@ -404,7 +498,7 @@ func transportErrOrNil(err error) error {
 }
 
 // readFrame fetches the next reply frame's payload into c.frame.
-func (c *Client[T]) readFrame() error {
+func (c *clientConn) readFrame() error {
 	c.armRead()
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
@@ -429,7 +523,7 @@ func (c *Client[T]) readFrame() error {
 // readLine returns the next reply line including its trailing newline —
 // straight off the stream in text framing, sliced out of the current
 // reply frame in binary framing.
-func (c *Client[T]) readLine() (string, error) {
+func (c *clientConn) readLine() (string, error) {
 	if !c.bin {
 		c.armRead()
 		line, err := c.r.ReadString('\n')
@@ -453,7 +547,7 @@ func (c *Client[T]) readLine() (string, error) {
 // readBlobInto fills blob with reply payload bytes — the body of a SNAP
 // response, which in binary framing rides in the same frame as its
 // header line.
-func (c *Client[T]) readBlobInto(blob []byte) error {
+func (c *clientConn) readBlobInto(blob []byte) error {
 	if !c.bin {
 		// Arm per chunk, not per blob: a large snapshot may legitimately
 		// take many read deadlines' worth of wall clock as long as bytes
@@ -493,7 +587,7 @@ const closeGraceTimeout = time.Second
 // shared summary — and closes the connection. The BYE wait is bounded
 // (by the IO timeout when configured, else one second): against a dead
 // peer Close gives up the handshake and just closes.
-func (c *Client[T]) Close() error {
+func (c *clientConn) Close() error {
 	if c.conn == nil {
 		return nil
 	}
@@ -517,14 +611,20 @@ func (c *Client[T]) Close() error {
 	return c.conn.Close()
 }
 
-func (c *Client[T]) roundTrip(format string, args ...any) (string, error) {
+// roundTrip sends one command — scope, then the formatted verb — and
+// returns the first reply line.
+func (c *clientConn) roundTrip(scope, format string, args ...any) (string, error) {
 	if c.bin {
-		c.cmdBuf = fmt.Appendf(c.cmdBuf[:0], format, args...)
+		c.cmdBuf = append(c.cmdBuf[:0], scope...)
+		c.cmdBuf = fmt.Appendf(c.cmdBuf, format, args...)
 		if err := c.writeFrame(opCmd, c.cmdBuf); err != nil {
 			return "", err
 		}
 	} else {
 		c.armWrite()
+		if _, err := c.w.WriteString(scope); err != nil {
+			return "", transportErr(err)
+		}
 		if _, err := fmt.Fprintf(c.w, format+"\n", args...); err != nil {
 			return "", transportErr(err)
 		}
@@ -532,6 +632,11 @@ func (c *Client[T]) roundTrip(format string, args ...any) (string, error) {
 			return "", transportErr(err)
 		}
 	}
+	return c.reply()
+}
+
+// reply reads the next reply line, an ERR reply turned into an error.
+func (c *clientConn) reply() (string, error) {
 	line, err := c.readLine()
 	if err != nil {
 		return "", err
@@ -543,12 +648,24 @@ func (c *Client[T]) roundTrip(format string, args ...any) (string, error) {
 	return line, nil
 }
 
-// Update sends a weighted update. Not idempotent: a transport failure
-// returns a *TransportError and is never auto-retried — the caller
-// decides whether re-sending risks double counting.
-func (c *Client[T]) Update(item T, weight int64) error {
-	return c.do("U", false, func() error {
-		resp, err := c.roundTrip("U %d %d", int64(item), weight)
+// readAck reads a block's acknowledgement, which must be "OK <n>".
+func (c *clientConn) readAck(n int) error {
+	line, err := c.reply()
+	if err != nil {
+		return err
+	}
+	var got int
+	if _, err := fmt.Sscanf(line, "OK %d", &got); err != nil || got != n {
+		return fmt.Errorf("server: unexpected batch response %q", line)
+	}
+	return nil
+}
+
+// exec runs one command in the handle's scope whose success reply is
+// exactly "OK". Never auto-retried: every such command mutates.
+func (c *Client[T]) exec(op, format string, args ...any) error {
+	return c.do(c.label+op, false, func() error {
+		resp, err := c.roundTrip(c.scope, format, args...)
 		if err != nil {
 			return err
 		}
@@ -559,46 +676,60 @@ func (c *Client[T]) Update(item T, weight int64) error {
 	})
 }
 
-// UpdateBatch sends a batch of weighted updates as UB blocks — one
-// buffered write and one round trip per block instead of per update —
-// and waits for the server's acknowledgement. Batches longer than the
-// server's MaxWireBatch cap are chunked transparently. Each block is
-// all-or-nothing on the server: mismatched lengths here or a negative
-// weight there reject it with no updates from that block applied.
+// Update sends a weighted update in the handle's scope. Not idempotent:
+// a transport failure returns a *TransportError and is never
+// auto-retried — the caller decides whether re-sending risks double
+// counting. A Window or Range handle rejects it without sending.
+func (c *Client[T]) Update(item T, weight int64) error {
+	if err := c.writable(); err != nil {
+		return err
+	}
+	return c.exec("U", "U %d %d", int64(item), weight)
+}
+
+// UpdateBatch sends a batch of weighted updates in the handle's scope —
+// one buffered write and one round trip per block instead of per
+// update — and waits for the server's acknowledgement. Batches longer
+// than the server's MaxWireBatch cap are chunked transparently. Each
+// block is all-or-nothing on the server: mismatched lengths here or a
+// negative weight there reject it with no updates from that block
+// applied. A Window or Range handle rejects it without sending.
 func (c *Client[T]) UpdateBatch(items []T, weights []int64) error {
+	if err := c.writable(); err != nil {
+		return err
+	}
 	if len(items) != len(weights) {
 		return fmt.Errorf("client: batch length mismatch: %d items, %d weights", len(items), len(weights))
 	}
 	for lo := 0; lo < len(items); lo += MaxWireBatch {
 		hi := min(lo+MaxWireBatch, len(items))
-		if err := c.updateBlock("", items[lo:hi], weights[lo:hi]); err != nil {
+		if err := c.updateBlock(items[lo:hi], weights[lo:hi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// updateBlock ships one block of at most MaxWireBatch pairs, scoped to
-// tenant id when non-empty — a UB block in text framing, one opPairs
-// frame in binary framing. A tenant-scoped block on a BIN 1 connection
-// has no batch encoding (v1 pairs frames carry no id, and UB's pair
-// lines belong to the text framing), so it degrades to per-update
-// TENANT U command frames. Not idempotent: transport failures surface
-// as *TransportError, never auto-retried (each block is all-or-nothing
-// on the server, but a lost acknowledgement leaves applied-or-not
-// unknowable here).
-func (c *Client[T]) updateBlock(id string, items []T, weights []int64) error {
+// updateBlock ships one block of at most MaxWireBatch pairs — a UB
+// block in text framing, one opPairs frame in binary framing. A
+// tenant-scoped block on a BIN 1 connection has no batch encoding (v1
+// pairs frames carry no id, and UB's pair lines belong to the text
+// framing), so it degrades to per-update TENANT U command frames. Not
+// idempotent: transport failures surface as *TransportError, never
+// auto-retried (each block is all-or-nothing on the server, but a lost
+// acknowledgement leaves applied-or-not unknowable here).
+func (c *Client[T]) updateBlock(items []T, weights []int64) error {
 	if len(items) == 0 {
 		return nil
 	}
-	return c.do("UB", false, func() error {
+	return c.do(c.label+"UB", false, func() error {
 		switch {
-		case c.bin && (id == "" || c.binVer >= 2):
-			return c.updateBlockBinary(id, items, weights)
+		case c.bin && (c.tenant == "" || c.binVer >= 2):
+			return c.updateBlockBinary(items, weights)
 		case c.bin:
 			// BIN 1 with a tenant scope: per-update command frames.
 			for i := range items {
-				resp, err := c.roundTrip("TENANT %s U %d %d", id, int64(items[i]), weights[i])
+				resp, err := c.roundTrip(c.scope, "U %d %d", int64(items[i]), weights[i])
 				if err != nil {
 					return err
 				}
@@ -608,22 +739,16 @@ func (c *Client[T]) updateBlock(id string, items []T, weights []int64) error {
 			}
 			return nil
 		default:
-			return c.updateBlockText(id, items, weights)
+			return c.updateBlockText(items, weights)
 		}
 	})
 }
 
-// updateBlockText ships one UB block over the text framing, prefixed
-// with a TENANT scope when id is non-empty.
-func (c *Client[T]) updateBlockText(id string, items []T, weights []int64) error {
+// updateBlockText ships one UB block over the text framing, behind the
+// handle's TENANT scope when it has one.
+func (c *Client[T]) updateBlockText(items []T, weights []int64) error {
 	c.armWrite()
-	var err error
-	if id == "" {
-		_, err = fmt.Fprintf(c.w, "UB %d\n", len(items))
-	} else {
-		_, err = fmt.Fprintf(c.w, "TENANT %s UB %d\n", id, len(items))
-	}
-	if err != nil {
+	if _, err := fmt.Fprintf(c.w, "%sUB %d\n", c.scope, len(items)); err != nil {
 		return transportErr(err)
 	}
 	buf := make([]byte, 0, 48)
@@ -639,19 +764,7 @@ func (c *Client[T]) updateBlockText(id string, items []T, weights []int64) error
 	if err := c.w.Flush(); err != nil {
 		return transportErr(err)
 	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "ERR ") {
-		return fmt.Errorf("server: %s", line[4:])
-	}
-	var n int
-	if _, err := fmt.Sscanf(line, "OK %d", &n); err != nil || n != len(items) {
-		return fmt.Errorf("server: unexpected batch response %q", line)
-	}
-	return nil
+	return c.readAck(len(items))
 }
 
 // updateBlockBinary encodes one pairs frame — pairSize bytes per
@@ -659,10 +772,10 @@ func (c *Client[T]) updateBlockText(id string, items []T, weights []int64) error
 // connection by the tenant-id prefix (length 0 = global) — and waits
 // for the same "OK <n>" the text block gets. The encoding buffer is
 // reused, so a steady stream of equal-size blocks allocates nothing.
-func (c *Client[T]) updateBlockBinary(id string, items []T, weights []int64) error {
+func (c *Client[T]) updateBlockBinary(items []T, weights []int64) error {
 	prefix := 0
 	if c.binVer >= 2 {
-		prefix = 2 + len(id)
+		prefix = 2 + len(c.tenant)
 	}
 	need := prefix + len(items)*pairSize
 	if cap(c.cmdBuf) < need {
@@ -670,8 +783,8 @@ func (c *Client[T]) updateBlockBinary(id string, items []T, weights []int64) err
 	}
 	buf := c.cmdBuf[:need]
 	if c.binVer >= 2 {
-		binary.LittleEndian.PutUint16(buf, uint16(len(id)))
-		copy(buf[2:], id)
+		binary.LittleEndian.PutUint16(buf, uint16(len(c.tenant)))
+		copy(buf[2:], c.tenant)
 	}
 	pairs := buf[prefix:]
 	for i := range items {
@@ -681,26 +794,16 @@ func (c *Client[T]) updateBlockBinary(id string, items []T, weights []int64) err
 	if err := c.writeFrame(opPairs, buf); err != nil {
 		return err
 	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "ERR ") {
-		return fmt.Errorf("server: %s", line[4:])
-	}
-	var n int
-	if _, err := fmt.Sscanf(line, "OK %d", &n); err != nil || n != len(items) {
-		return fmt.Errorf("server: unexpected batch response %q", line)
-	}
-	return nil
+	return c.readAck(len(items))
 }
 
 // Query returns (estimate, lowerBound, upperBound) for item in one
-// round trip. Idempotent: retried under WithRetry.
+// round trip: an all-time handle answers from the live per-shard bands,
+// a Window or Range handle from its merged view. Idempotent: retried
+// under WithRetry.
 func (c *Client[T]) Query(item T) (est, lb, ub int64, err error) {
-	err = c.do("EST", true, func() error {
-		resp, rerr := c.roundTrip("EST %d", int64(item))
+	err = c.do(c.label+"EST", true, func() error {
+		resp, rerr := c.roundTrip(c.scope, "EST %d", int64(item))
 		if rerr != nil {
 			return rerr
 		}
@@ -740,27 +843,11 @@ func (c *Client[T]) readMulti(header string) ([]freq.Row[T], error) {
 }
 
 // TopK returns the n largest items (server-side TOPK command, answered
-// from the server's epoch-cached merged view). Idempotent: retried
-// under WithRetry.
+// from the scope's merged view — the epoch-cached one for all-time).
+// Idempotent: retried under WithRetry.
 func (c *Client[T]) TopK(n int) ([]freq.Row[T], error) {
-	var rows []freq.Row[T]
-	err := c.do("TOPK", true, func() error {
-		resp, err := c.roundTrip("TOPK %d", n)
-		if err != nil {
-			return err
-		}
-		rows, err = c.readMulti(resp)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return c.doMulti("TOPK", "TOPK %d", n)
 }
-
-// Top returns the n largest items. Deprecated name kept for existing
-// callers; identical to TopK.
-func (c *Client[T]) Top(n int) ([]freq.Row[T], error) { return c.TopK(n) }
 
 // FrequentItemsAboveThreshold returns items qualifying against an
 // absolute threshold under et (server-side FI command). Idempotent:
@@ -769,18 +856,18 @@ func (c *Client[T]) FrequentItemsAboveThreshold(threshold int64, et freq.ErrorTy
 	return c.doMulti("FI", "FI %d %d", int(et), threshold)
 }
 
-// HeavyHitters returns items above phi (in [0,1]) of the stream weight.
-// Idempotent: retried under WithRetry.
+// HeavyHitters returns items above phi (in [0,1]) of the scope's
+// all-time stream weight. Idempotent: retried under WithRetry.
 func (c *Client[T]) HeavyHitters(phi float64) ([]freq.Row[T], error) {
 	return c.doMulti("HH", "HH %d", int(phi*1000))
 }
 
-// doMulti runs one idempotent MULTI-replying command under the retry
-// policy.
+// doMulti runs one idempotent MULTI-replying command in the handle's
+// scope under the retry policy.
 func (c *Client[T]) doMulti(op, format string, args ...any) ([]freq.Row[T], error) {
 	var rows []freq.Row[T]
-	err := c.do(op, true, func() error {
-		resp, err := c.roundTrip(format, args...)
+	err := c.do(c.label+op, true, func() error {
+		resp, err := c.roundTrip(c.scope, format, args...)
 		if err != nil {
 			return err
 		}
@@ -793,39 +880,97 @@ func (c *Client[T]) doMulti(op, format string, args ...any) ([]freq.Row[T], erro
 	return rows, nil
 }
 
-// Stats returns the server-side stream weight and error band.
-// Idempotent: retried under WithRetry.
+// Stats returns the scope's stream weight and error band (all-time
+// scopes only). Idempotent: retried under WithRetry.
 func (c *Client[T]) Stats() (n, maxErr int64, err error) {
-	err = c.do("STATS", true, func() error {
-		resp, rerr := c.roundTrip("STATS")
+	st, err := c.StatsFull()
+	return st.N, st.MaxErr, err
+}
+
+// ServerStats is the fully parsed STATS reply. Fields absent from the
+// reply (an older server, one running without a window, store, or
+// tenant manager, or a tenant handle's reply) are zero.
+type ServerStats struct {
+	// N is the scope's stream weight; MaxErr its error band.
+	N, MaxErr int64
+	// Shards is the scope's shard count.
+	Shards int
+	// WindowSlots is the sliding window's interval count (0 without a
+	// window).
+	WindowSlots int
+	// StorePartitions is the durable store's live partition count (0
+	// without a store).
+	StorePartitions int
+	// Tenants is the live tenant count and TenantsMax the registry
+	// capacity (both 0 without a tenant manager).
+	Tenants, TenantsMax int
+	// TenantEvictions counts tenants evicted (idle-TTL, capacity
+	// pressure, or explicit EVICT) since the server started.
+	TenantEvictions int64
+}
+
+// StatsFull returns the fully parsed STATS reply — stream weight and
+// error band like Stats, plus the window, store, and tenant occupancy
+// fields (a tenant handle's reply carries only the tenant's own
+// counters and slots). Unknown key=value fields are ignored, so newer
+// servers stay parseable. Idempotent: retried under WithRetry.
+func (c *Client[T]) StatsFull() (ServerStats, error) {
+	var st ServerStats
+	err := c.do(c.label+"STATS", true, func() error {
+		resp, rerr := c.roundTrip(c.scope, "STATS")
 		if rerr != nil {
 			return rerr
 		}
-		var shards int
-		if _, serr := fmt.Sscanf(resp, "STATS n=%d err=%d shards=%d", &n, &maxErr, &shards); serr != nil {
+		rest, ok := strings.CutPrefix(resp, "STATS ")
+		if !ok {
 			return fmt.Errorf("server: bad stats %q", resp)
+		}
+		for _, field := range strings.Fields(rest) {
+			key, val, ok := strings.Cut(field, "=")
+			if !ok {
+				return fmt.Errorf("server: bad stats field %q in %q", field, resp)
+			}
+			n, perr := strconv.ParseInt(val, 10, 64)
+			if perr != nil {
+				return fmt.Errorf("server: bad stats value %q in %q", field, resp)
+			}
+			switch key {
+			case "n":
+				st.N = n
+			case "err":
+				st.MaxErr = n
+			case "shards":
+				st.Shards = int(n)
+			case "slots":
+				st.WindowSlots = int(n)
+			case "partitions":
+				st.StorePartitions = int(n)
+			case "tenants":
+				st.Tenants = int(n)
+			case "tenants_max":
+				st.TenantsMax = int(n)
+			case "tenant_evictions":
+				st.TenantEvictions = n
+			}
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return ServerStats{}, err
 	}
-	return n, maxErr, nil
+	return st, nil
 }
 
-// Snapshot fetches the serialized summary and decodes it into a sketch —
-// the §3 geographically-distributed pattern over the wire, and the unit
-// the Cluster fan-out merges. Idempotent: retried under WithRetry.
+// Snapshot fetches the scope's serialized summary and decodes it into a
+// sketch — the §3 geographically-distributed pattern over the wire, and
+// the unit the Cluster fan-out merges. Every scope's blob is the
+// standard single-sketch wire format, so global, tenant, window and
+// range snapshots merge with one another alike. Idempotent: retried
+// under WithRetry.
 func (c *Client[T]) Snapshot() (*freq.Sketch[T], error) {
-	return c.doSnapshot("SNAP", "SNAP")
-}
-
-// doSnapshot runs one idempotent snapshot-replying command under the
-// retry policy.
-func (c *Client[T]) doSnapshot(op, format string, args ...any) (*freq.Sketch[T], error) {
 	var sk *freq.Sketch[T]
-	err := c.do(op, true, func() error {
-		resp, err := c.roundTrip(format, args...)
+	err := c.do(c.label+"SNAP", true, func() error {
+		resp, err := c.roundTrip(c.scope, "SNAP")
 		if err != nil {
 			return err
 		}
@@ -859,103 +1004,12 @@ func (c *Client[T]) readSnapshot(header string) (*freq.Sketch[T], error) {
 	return sk, nil
 }
 
-// Window-scoped pass-throughs: each maps onto the WIN command, scoping
-// the query to the merged view of the server's last w window intervals.
-// They error when the server runs without a window.
-
-// QueryWindow returns (estimate, lowerBound, upperBound) for item over
-// the last w intervals of the server's sliding window. Idempotent:
-// retried under WithRetry.
-func (c *Client[T]) QueryWindow(w int, item T) (est, lb, ub int64, err error) {
-	err = c.do("WIN EST", true, func() error {
-		resp, rerr := c.roundTrip("WIN %d EST %d", w, int64(item))
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return est, lb, ub, nil
-}
-
-// TopKWindow returns the n largest items over the last w intervals.
-// Idempotent: retried under WithRetry.
-func (c *Client[T]) TopKWindow(w, n int) ([]freq.Row[T], error) {
-	return c.doMulti("WIN TOPK", "WIN %d TOPK %d", w, n)
-}
-
-// FrequentItemsAboveThresholdWindow returns items qualifying against an
-// absolute threshold under et over the last w intervals. Idempotent:
-// retried under WithRetry.
-func (c *Client[T]) FrequentItemsAboveThresholdWindow(w int, threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
-	return c.doMulti("WIN FI", "WIN %d FI %d %d", w, int(et), threshold)
-}
-
-// SnapshotWindow fetches the serialized merged view of the last w
-// intervals and decodes it into an ordinary sketch — the blob is the
-// standard single-sketch wire format, so the result merges and queries
-// like any other snapshot (Cluster.RefreshWindow fans this out).
-// Idempotent: retried under WithRetry.
-func (c *Client[T]) SnapshotWindow(w int) (*freq.Sketch[T], error) {
-	return c.doSnapshot("WIN SNAP", "WIN %d SNAP", w)
-}
-
-// Range-scoped pass-throughs: each maps onto the RANGE command, scoping
-// the query to the merged summary of every window slot the server's
-// durable store persisted over [from, to). Bounds travel as unix
-// seconds. They error when the server runs without a store.
-
-// QueryRange returns (estimate, lowerBound, upperBound) for item over
-// the stored history covering [from, to). Idempotent: retried under
-// WithRetry.
-func (c *Client[T]) QueryRange(from, to time.Time, item T) (est, lb, ub int64, err error) {
-	err = c.do("RANGE EST", true, func() error {
-		resp, rerr := c.roundTrip("RANGE %d %d EST %d", from.Unix(), to.Unix(), int64(item))
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return est, lb, ub, nil
-}
-
-// TopKRange returns the n largest items over the stored history
-// covering [from, to). Idempotent: retried under WithRetry.
-func (c *Client[T]) TopKRange(from, to time.Time, n int) ([]freq.Row[T], error) {
-	return c.doMulti("RANGE TOPK", "RANGE %d %d TOPK %d", from.Unix(), to.Unix(), n)
-}
-
-// FrequentItemsAboveThresholdRange returns items qualifying against an
-// absolute threshold under et over the stored history covering
-// [from, to). Idempotent: retried under WithRetry.
-func (c *Client[T]) FrequentItemsAboveThresholdRange(from, to time.Time, threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
-	return c.doMulti("RANGE FI", "RANGE %d %d FI %d %d", from.Unix(), to.Unix(), int(et), threshold)
-}
-
-// SnapshotRange fetches the serialized merged summary of the stored
-// history covering [from, to) — the standard single-sketch wire format,
-// decoded like any other snapshot. Idempotent: retried under WithRetry.
-func (c *Client[T]) SnapshotRange(from, to time.Time) (*freq.Sketch[T], error) {
-	return c.doSnapshot("RANGE SNAP", "RANGE %d %d SNAP", from.Unix(), to.Unix())
-}
-
-// Rotate advances the server's sliding window one interval and returns
-// the server's total rotation count. Not idempotent (each call advances
-// the ring): transport failures are never auto-retried.
+// Rotate advances the scope's sliding window one interval and returns
+// its total rotation count. Not idempotent (each call advances the
+// ring): transport failures are never auto-retried.
 func (c *Client[T]) Rotate() (rotations int64, err error) {
-	err = c.do("ROTATE", false, func() error {
-		resp, rerr := c.roundTrip("ROTATE")
+	err = c.do(c.label+"ROTATE", false, func() error {
+		resp, rerr := c.roundTrip(c.scope, "ROTATE")
 		if rerr != nil {
 			return rerr
 		}
@@ -970,28 +1024,24 @@ func (c *Client[T]) Rotate() (rotations int64, err error) {
 	return rotations, nil
 }
 
-// Reset clears the server-side summary. Not auto-retried.
-func (c *Client[T]) Reset() error {
-	return c.do("RESET", false, func() error {
-		resp, err := c.roundTrip("RESET")
-		if err != nil {
-			return err
-		}
-		if resp != "OK" {
-			return fmt.Errorf("server: unexpected response %q", resp)
-		}
-		return nil
-	})
-}
+// Reset clears the scope's live summary and its window (stored history
+// is untouched). Not auto-retried.
+func (c *Client[T]) Reset() error { return c.exec("RESET", "RESET") }
 
-// Raw sends a raw protocol line and returns the first response line
-// (diagnostics and protocol tests). The command's idempotence is
-// unknowable here, so Raw is never auto-retried.
+// Evict asks the server to evict the handle's tenant now: its live
+// summary is persisted to the tenant store (when one is configured) and
+// its slot returns to the warm pool. The handle stays valid — the next
+// command recreates the tenant fresh. Not auto-retried.
+func (c *Client[T]) Evict() error { return c.exec("EVICT", "EVICT") }
+
+// Raw sends a raw protocol line in the handle's scope and returns the
+// first response line (diagnostics and protocol tests). The command's
+// idempotence is unknowable here, so Raw is never auto-retried.
 func (c *Client[T]) Raw(line string) (string, error) {
 	var resp string
-	err := c.do("RAW", false, func() error {
+	err := c.do(c.label+"RAW", false, func() error {
 		var rerr error
-		resp, rerr = c.roundTrip("%s", line)
+		resp, rerr = c.roundTrip(c.scope, "%s", line)
 		return rerr
 	})
 	if err != nil {
@@ -1033,14 +1083,16 @@ func (c *Client[T]) UpperBound(item T) int64 {
 	return ub
 }
 
-// MaximumError returns the remote summary's error band (via STATS).
+// MaximumError returns the remote summary's error band (via STATS, so
+// a Window or Range handle records the server's ERR under Err).
 func (c *Client[T]) MaximumError() int64 {
 	_, maxErr, err := c.Stats()
 	c.fail(err)
 	return maxErr
 }
 
-// StreamWeight returns the remote stream weight (via STATS).
+// StreamWeight returns the remote stream weight (via STATS, all-time
+// scopes only, like MaximumError).
 func (c *Client[T]) StreamWeight() int64 {
 	n, _, err := c.Stats()
 	c.fail(err)

@@ -204,7 +204,7 @@ func (c *Cluster[T]) Refresh() error {
 // fails if any node runs without a window.
 func (c *Cluster[T]) RefreshWindow(w int) error {
 	return c.refresh(func(cl *Client[T]) (*freq.Sketch[T], error) {
-		return cl.SnapshotWindow(w)
+		return cl.Window(w).Snapshot()
 	})
 }
 

@@ -242,15 +242,15 @@ func TestConformanceAllCommands(t *testing.T) {
 			return c.FrequentItemsAboveThreshold(100, freq.NoFalseNegatives)
 		},
 		"HH":       func(c *Client[int64]) ([]freq.Row[int64], error) { return c.HeavyHitters(0.01) },
-		"WIN TOPK": func(c *Client[int64]) ([]freq.Row[int64], error) { return c.TopKWindow(3, 10) },
+		"WIN TOPK": func(c *Client[int64]) ([]freq.Row[int64], error) { return c.Window(3).TopK(10) },
 		"WIN FI": func(c *Client[int64]) ([]freq.Row[int64], error) {
-			return c.FrequentItemsAboveThresholdWindow(2, 100, freq.NoFalseNegatives)
+			return c.Window(2).FrequentItemsAboveThreshold(100, freq.NoFalseNegatives)
 		},
 		"RANGE TOPK": func(c *Client[int64]) ([]freq.Row[int64], error) {
-			return c.TopKRange(p.clock.Add(-time.Hour), p.clock.Add(time.Hour), 10)
+			return c.Range(p.clock.Add(-time.Hour), p.clock.Add(time.Hour)).TopK(10)
 		},
 		"RANGE FI": func(c *Client[int64]) ([]freq.Row[int64], error) {
-			return c.FrequentItemsAboveThresholdRange(p.clock.Add(-time.Hour), p.clock.Add(time.Hour), 50, freq.NoFalseNegatives)
+			return c.Range(p.clock.Add(-time.Hour), p.clock.Add(time.Hour)).FrequentItemsAboveThreshold(50, freq.NoFalseNegatives)
 		},
 	} {
 		tr, terr := fn(p.text)
@@ -356,14 +356,14 @@ func TestConformanceTenantCommands(t *testing.T) {
 	}
 
 	// Row-valued commands compare deeply through the typed client.
-	type rowsFn func(tc *TenantClient[int64]) ([]freq.Row[int64], error)
+	type rowsFn func(tc *Client[int64]) ([]freq.Row[int64], error)
 	for name, fn := range map[string]rowsFn{
-		"TENANT TOPK": func(tc *TenantClient[int64]) ([]freq.Row[int64], error) { return tc.TopK(10) },
-		"TENANT FI": func(tc *TenantClient[int64]) ([]freq.Row[int64], error) {
+		"TENANT TOPK": func(tc *Client[int64]) ([]freq.Row[int64], error) { return tc.TopK(10) },
+		"TENANT FI": func(tc *Client[int64]) ([]freq.Row[int64], error) {
 			return tc.FrequentItemsAboveThreshold(50, freq.NoFalseNegatives)
 		},
-		"TENANT HH":       func(tc *TenantClient[int64]) ([]freq.Row[int64], error) { return tc.HeavyHitters(0.01) },
-		"TENANT WIN TOPK": func(tc *TenantClient[int64]) ([]freq.Row[int64], error) { return tc.TopKWindow(2, 10) },
+		"TENANT HH":       func(tc *Client[int64]) ([]freq.Row[int64], error) { return tc.HeavyHitters(0.01) },
+		"TENANT WIN TOPK": func(tc *Client[int64]) ([]freq.Row[int64], error) { return tc.Window(2).TopK(10) },
 	} {
 		ta, err1 := p.text.Tenant("alice")
 		ba, err2 := p.bin.Tenant("alice")
@@ -397,8 +397,8 @@ func TestConformanceTenantCommands(t *testing.T) {
 	{
 		ta, _ := p.text.Tenant("alice")
 		ba, _ := p.bin.Tenant("alice")
-		tr, terr := ta.TopKRange(time.Unix(from, 0), time.Unix(to, 0), 10)
-		br, berr := ba.TopKRange(time.Unix(from, 0), time.Unix(to, 0), 10)
+		tr, terr := ta.Range(time.Unix(from, 0), time.Unix(to, 0)).TopK(10)
+		br, berr := ba.Range(time.Unix(from, 0), time.Unix(to, 0)).TopK(10)
 		if terr != nil || berr != nil {
 			t.Fatalf("TENANT RANGE TOPK: text err %v, binary err %v", terr, berr)
 		}
@@ -425,8 +425,8 @@ func TestConformanceTenantCommands(t *testing.T) {
 
 // TestConformanceBatchReplyParity pins the batch acknowledgement shape:
 // a binary pairs frame answers exactly the text UB reply ("OK <n>"),
-// and both block paths reject a negative weight with the whole block
-// untouched.
+// and both block paths reject a negative weight with the same ERR line
+// and the whole block untouched.
 func TestConformanceBatchReplyParity(t *testing.T) {
 	p := newConformancePair(t)
 	if err := p.each(func(c *Client[int64]) error {
@@ -434,11 +434,14 @@ func TestConformanceBatchReplyParity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Negative weight: all-or-nothing on both framings.
+	// Negative weight: all-or-nothing on both framings, with one reply.
 	err1 := p.text.UpdateBatch([]int64{40, 50}, []int64{5, -1})
 	err2 := p.bin.UpdateBatch([]int64{40, 50}, []int64{5, -1})
 	if err1 == nil || err2 == nil {
 		t.Fatalf("negative batch accepted: text err %v, binary err %v", err1, err2)
+	}
+	if err1.Error() != err2.Error() {
+		t.Fatalf("rejected block answers differ by framing:\n  text:   %v\n  binary: %v", err1, err2)
 	}
 	p.sync(t)
 	p.rawBoth(t, "EST 40")

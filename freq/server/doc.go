@@ -186,6 +186,12 @@
 // surfaces, and reply bytes of every scoped command are identical to
 // the global forms; the cross-framing conformance suite pins that.
 //
+// The Go Client spells every scope the same way: c.Tenant(id),
+// c.Window(w) and c.Range(from, to) each return a *Client handle over
+// the same connection whose verb methods send the scope prefix, and
+// they compose — c.Tenant("alice") then .Window(5).TopK(10) sends
+// "TENANT alice WIN 5 TOPK 10".
+//
 // Over binary framing, TENANT commands travel in CMD frames like any
 // other — except TENANT UB, which is rejected ("text-framing only"):
 // binary clients carry tenant bulk ingest in v2 PAIRS frames instead
@@ -302,12 +308,12 @@
 // (distinct from a server ERR, which means the request was received
 // and answered) and poisons the connection, so the next operation
 // re-dials instead of trusting a desynchronized stream. WithRetry
-// re-runs idempotent reads (EST, TOPK, FI, SNAP, WIN, RANGE, STATS)
-// across reconnects with jittered exponential backoff; ingest (U, UB,
-// PAIRS) is never auto-retried, because a lost acknowledgement makes
-// applied-or-not unknowable and re-sending risks double counting —
-// that call belongs to the caller. Close bounds its QUIT/BYE handshake
-// so a dead peer cannot hang it.
+// re-runs idempotent reads (EST, TOPK, FI, HH, SNAP, STATS — through
+// any Tenant, Window or Range handle) across reconnects with jittered
+// exponential backoff; ingest (U, UB, PAIRS) is never auto-retried,
+// because a lost acknowledgement makes applied-or-not unknowable and
+// re-sending risks double counting — that call belongs to the caller.
+// Close bounds its QUIT/BYE handshake so a dead peer cannot hang it.
 //
 // Fleet side: Cluster refreshes fan out with per-node bounds
 // (WithNodeTimeout) and merge whichever subset answers, down to

@@ -51,7 +51,7 @@ func TestRangeCommandsOverWire(t *testing.T) {
 	}
 
 	// Full range sees both intervals.
-	est, lb, ub, err := c.QueryRange(base, base.Add(20*time.Second), 1)
+	est, lb, ub, err := c.Range(base, base.Add(20*time.Second)).Query(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRangeCommandsOverWire(t *testing.T) {
 	}
 
 	// A range covering only the first interval excludes the second.
-	est, _, _, err = c.QueryRange(base, base.Add(10*time.Second), 1)
+	est, _, _, err = c.Range(base, base.Add(10*time.Second)).Query(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRangeCommandsOverWire(t *testing.T) {
 		t.Fatalf("sliced RANGE EST: %d, want 100", est)
 	}
 
-	rows, err := c.TopKRange(base, base.Add(20*time.Second), 2)
+	rows, err := c.Range(base, base.Add(20*time.Second)).TopK(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRangeCommandsOverWire(t *testing.T) {
 		t.Fatalf("RANGE TOPK: %v", rows)
 	}
 
-	fi, err := c.FrequentItemsAboveThresholdRange(base, base.Add(20*time.Second), 80, freq.NoFalseNegatives)
+	fi, err := c.Range(base, base.Add(20*time.Second)).FrequentItemsAboveThreshold(80, freq.NoFalseNegatives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRangeCommandsOverWire(t *testing.T) {
 		t.Fatalf("RANGE FI: %v", fi)
 	}
 
-	sk, err := c.SnapshotRange(base, base.Add(20*time.Second))
+	sk, err := c.Range(base, base.Add(20*time.Second)).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRangeCommandsOverWire(t *testing.T) {
 
 	// The live head interval is not yet in the store: a range past the
 	// last rotation is empty.
-	est, _, _, err = c.QueryRange(base.Add(20*time.Second), base.Add(30*time.Second), 1)
+	est, _, _, err = c.Range(base.Add(20*time.Second), base.Add(30*time.Second)).Query(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRangeRFC3339AndErrors(t *testing.T) {
 func TestRangeWithoutStore(t *testing.T) {
 	srv := startServer(t, Config{MaxCounters: 1024, Shards: 2, WindowIntervals: 3})
 	c := dial(t, srv)
-	_, _, _, err := c.QueryRange(time.Unix(0, 0), time.Unix(100, 0), 1)
+	_, _, _, err := c.Range(time.Unix(0, 0), time.Unix(100, 0)).Query(1)
 	if err == nil || !strings.Contains(err.Error(), "no store") {
 		t.Fatalf("RANGE without store: %v", err)
 	}

@@ -94,14 +94,16 @@ type Server struct {
 	// TENANT-scoped RANGE; nil disables it.
 	tenantStore TenantRangeStore
 
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]*connState
-	closed  bool
-	wg      sync.WaitGroup
-	updates int64
-	queries int64
-	statsMu sync.Mutex
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]*connState
+	closed bool
+	wg     sync.WaitGroup
+	// updates and queries back Counters. They are atomics, not a
+	// mutex, because every ingest path bumps updates — the binary pairs
+	// loop included — and must not serialize connections on it.
+	updates atomic.Int64
+	queries atomic.Int64
 
 	// idleTimeout/ioTimeout are Config.IdleTimeout/Config.IOTimeout.
 	idleTimeout time.Duration
@@ -472,8 +474,9 @@ func (c *conn) addWindowed(item, weight int64) {
 }
 
 // flushWindowed applies the buffered windowed updates under one lock
-// acquisition. Weights were validated non-negative on ingest, so the
-// batch cannot fail.
+// acquisition; without a window nothing is ever buffered and it is a
+// no-op. Weights were validated non-negative on ingest, so the batch
+// cannot fail.
 func (c *conn) flushWindowed() {
 	if len(c.winItems) == 0 {
 		return
@@ -492,9 +495,7 @@ func (s *Server) handle(nc net.Conn, st *connState) {
 	defer writer.Close()
 	nw := bufio.NewWriter(nc)
 	c := &conn{srv: s, nc: nc, st: st, r: bufio.NewReaderSize(nc, 64*1024), nw: nw, w: nw, writer: writer}
-	if s.win != nil {
-		defer c.flushWindowed()
-	}
+	defer c.flushWindowed()
 	for {
 		c.armIdle()
 		line, rerr := c.readLine()
@@ -536,10 +537,27 @@ func (s *Server) handle(nc net.Conn, st *connState) {
 	}
 }
 
+// scope is what one command runs against, resolved once per command by
+// dispatch: the global summaries, or the tenant a "TENANT <id>" prefix
+// acquired for exactly the duration of the command, so an eviction can
+// never recycle the tables out from under a command in flight. Either
+// way it is an all-time sketch, its optional window twin and an
+// optional stored history (the global store, or the tenant store keyed
+// by id), so each verb is implemented once for both.
+type scope struct {
+	sk  *freq.Concurrent[int64]
+	win *freq.ConcurrentWindowed[int64]
+	// ten is the acquired tenant and id its id; nil and "" for the
+	// global scope.
+	ten *tenant.Tenant[int64]
+	id  string
+}
+
 // dispatch executes one protocol line, writing the response to the
-// connection. Updates (U, UB) ride the buffered batch path; every other
-// command flushes the connection's writer first, so a connection always
-// reads its own writes.
+// connection: it resolves the command's scope, then runs the one verb
+// switch every scope shares. Updates (U, UB) ride the buffered batch
+// path; every other command flushes the connection's writer first, so a
+// connection always reads its own writes.
 func (c *conn) dispatch(line string) (quit bool, err error) {
 	s := c.srv
 	w := c.w
@@ -547,151 +565,223 @@ func (c *conn) dispatch(line string) (quit bool, err error) {
 	cmd := strings.ToUpper(fields[0])
 	args := fields[1:]
 	if cmd != "U" && cmd != "UB" {
-		if err := c.writer.Flush(); err != nil {
+		if err := c.flush(); err != nil {
 			return false, err
 		}
-		if s.win != nil {
-			c.flushWindowed()
+	}
+	switch cmd {
+	case "HELLO":
+		return false, c.hello(args)
+	case "QUIT":
+		fmt.Fprintln(w, "BYE")
+		return true, nil
+	}
+	sc := scope{sk: s.sketch, win: s.win}
+	// usage prefixes the update verbs' usage errors, kind the unknown
+	// command error; both name the tenant scope.
+	usage, kind := "", ""
+	if cmd == "TENANT" {
+		if s.tenants == nil {
+			return false, ErrNoTenants
 		}
+		if len(args) < 2 {
+			return false, errors.New("usage: TENANT <id> <command> ...")
+		}
+		sc.id, cmd, args = args[0], strings.ToUpper(args[1]), args[2:]
+		usage, kind = "TENANT <id> ", "tenant "
+		switch {
+		case cmd == "EVICT":
+			// EVICT must not acquire the handle it is trying to retire: a
+			// held handle is exactly what Evict rejects as busy.
+			if len(args) != 0 {
+				return false, errors.New("usage: TENANT <id> EVICT")
+			}
+			if err := s.tenants.Evict(sc.id); err != nil {
+				return false, err
+			}
+			fmt.Fprintln(w, "OK")
+			return false, nil
+		case cmd == "UB" && c.bin:
+			// Inside a CMD frame the pair lines would have to be read
+			// from the binary stream as text — a framing violation. The
+			// binary tenant batch path is a v2 PAIRS frame.
+			return false, errors.New("TENANT UB is text-framing only (binary clients send v2 PAIRS frames)")
+		}
+	}
+	var items, weights []int64
+	if cmd == "UB" {
+		// The client committed the pair lines to the wire with the
+		// header, so consume the batch before acquiring a tenant: a
+		// failed acquire (bad id, full registry) must still leave the
+		// connection synchronized.
+		var q bool
+		if items, weights, q, err = c.readBatch(args, usage+"UB <count>"); err != nil {
+			return q, err
+		}
+	}
+	if sc.id != "" {
+		if sc.ten, err = s.tenants.Acquire(sc.id); err != nil {
+			return false, err
+		}
+		defer sc.ten.Release()
+		sc.sk, sc.win = sc.ten.Sketch(), sc.ten.Windowed()
 	}
 	switch cmd {
 	case "U":
 		if len(args) != 2 {
-			return false, errors.New("usage: U <item> <weight>")
+			return false, fmt.Errorf("usage: %sU <item> <weight>", usage)
 		}
 		item, err1 := strconv.ParseInt(args[0], 10, 64)
 		weight, err2 := strconv.ParseInt(args[1], 10, 64)
 		if err1 != nil || err2 != nil {
 			return false, errors.New("bad integer")
 		}
-		if err := c.writer.Add(item, weight); err != nil {
-			return false, err
-		}
-		if s.win != nil {
+		// Global singles ride the connection's buffered writer and its
+		// windowed twin; a tenant has no per-connection writer.
+		if sc.ten != nil {
+			err = sc.ten.Update(item, weight)
+		} else if err = c.writer.Add(item, weight); err == nil && sc.win != nil {
 			c.addWindowed(item, weight)
 		}
-		s.statsMu.Lock()
-		s.updates++
-		s.statsMu.Unlock()
+		if err != nil {
+			return false, err
+		}
+		s.updates.Add(1)
 		fmt.Fprintln(w, "OK")
 	case "UB":
-		items, weights, q, err := c.readBatch(args, "UB <count>")
-		if err != nil {
-			return q, err
-		}
 		// Preserve per-connection ordering: buffered singles land before
 		// the batch, and the batch is all-or-nothing.
-		if err := c.writer.Flush(); err != nil {
+		if err := c.flush(); err != nil {
 			return false, err
 		}
-		if s.win != nil {
-			c.flushWindowed()
-		}
-		if err := s.sketch.UpdateWeightedBatch(items, weights); err != nil {
+		if err := sc.sk.UpdateWeightedBatch(items, weights); err != nil {
 			return false, err
 		}
-		if s.win != nil {
+		if sc.win != nil {
 			// Validated by the all-time batch above; cannot fail.
-			_ = s.win.UpdateWeightedBatch(items, weights)
+			_ = sc.win.UpdateWeightedBatch(items, weights)
 		}
-		s.statsMu.Lock()
-		s.updates += int64(len(items))
-		s.statsMu.Unlock()
+		s.updates.Add(int64(len(items)))
 		fmt.Fprintf(w, "OK %d\n", len(items))
-	case "Q", "EST":
-		return false, c.cmdEstimate(cmd, args, s.sketch)
-	case "TOP", "TOPK":
-		return false, c.cmdTopK(cmd, args, s.sketch)
-	case "FI":
-		return false, c.cmdFI(args, s.sketch)
+	case "Q", "EST", "TOP", "TOPK", "FI", "SNAPSHOT", "SNAP":
+		return false, c.read(liveSource{sc.sk}, "", "", cmd, args)
 	case "HH":
-		return false, c.cmdHH(args, s.sketch)
+		// Heavy hitters are relative to the all-time stream weight, so HH
+		// has no WIN or RANGE form.
+		if len(args) != 1 {
+			return false, errors.New("usage: HH <phi-millis>")
+		}
+		millis, err := strconv.Atoi(args[0])
+		if err != nil || millis < 0 || millis > 1000 {
+			return false, errors.New("phi-millis must be 0..1000")
+		}
+		threshold := int64(float64(millis) / 1000 * float64(sc.sk.StreamWeight()))
+		writeRows(w, sc.sk.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives))
+	case "WIN":
+		if sc.win == nil {
+			return false, ErrNoWindow
+		}
+		if len(args) < 2 {
+			return false, errors.New("usage: WIN <w> <EST|TOPK|FI|SNAP> ...")
+		}
+		width, err := strconv.Atoi(args[0])
+		if err != nil || width < 1 {
+			return false, errors.New("bad window width")
+		}
+		return false, c.read(windowSource{sc.win, width}, "WIN <w> ", "window ", strings.ToUpper(args[1]), args[2:])
+	case "RANGE":
+		return false, c.readRange(sc, args)
 	case "STATS":
-		// One consistent reply shape regardless of configuration: the
-		// optional subsystems report zero when absent. Clients parse the
+		// One reply shape per scope regardless of configuration: the
+		// optional subsystems report zero when absent, and the tenant
+		// reply is the global reply's leading fields. Clients parse the
 		// leading fields positionally (Client.Stats) or the whole line
 		// as key=value pairs (Client.StatsFull); both tolerate growth.
 		slots := 0
-		if s.win != nil {
-			slots = s.win.Intervals()
+		if sc.win != nil {
+			slots = sc.win.Intervals()
 		}
-		partitions := 0
-		if pc, ok := s.store.(interface{ PartitionCount() int }); ok {
-			partitions = pc.PartitionCount()
+		fmt.Fprintf(w, "STATS n=%d err=%d shards=%d slots=%d",
+			sc.sk.StreamWeight(), sc.sk.MaximumError(), sc.sk.NumShards(), slots)
+		if sc.ten == nil {
+			partitions := 0
+			if pc, ok := s.store.(interface{ PartitionCount() int }); ok {
+				partitions = pc.PartitionCount()
+			}
+			var ts tenant.Stats
+			if s.tenants != nil {
+				ts = s.tenants.Stats()
+			}
+			fmt.Fprintf(w, " partitions=%d tenants=%d tenants_max=%d tenant_evictions=%d",
+				partitions, ts.Active, ts.Max, ts.Evictions)
 		}
-		var ts tenant.Stats
-		if s.tenants != nil {
-			ts = s.tenants.Stats()
-		}
-		fmt.Fprintf(w, "STATS n=%d err=%d shards=%d slots=%d partitions=%d tenants=%d tenants_max=%d tenant_evictions=%d\n",
-			s.sketch.StreamWeight(), s.sketch.MaximumError(), s.sketch.NumShards(),
-			slots, partitions, ts.Active, ts.Max, ts.Evictions)
-	case "SNAPSHOT", "SNAP":
-		return false, c.cmdSnap(s.sketch)
-	case "WIN":
-		return c.dispatchWindow(s.win, args)
-	case "RANGE":
-		if s.store == nil {
-			return false, ErrNoStore
-		}
-		return c.dispatchRange(args, s.store.QueryInto)
-	case "TENANT":
-		return c.dispatchTenant(args)
+		fmt.Fprintln(w)
 	case "ROTATE":
-		if s.win == nil {
+		if sc.win == nil {
 			return false, ErrNoWindow
 		}
-		s.win.Rotate()
-		fmt.Fprintf(w, "OK %d\n", s.win.Rotations())
+		sc.win.Rotate()
+		fmt.Fprintf(w, "OK %d\n", sc.win.Rotations())
 	case "RESET":
-		// Both summaries clear together: a reset server must not keep
-		// answering window-scoped queries from pre-reset data.
-		s.sketch.Reset()
-		if s.win != nil {
-			s.win.Reset()
+		// Both summaries clear together: a reset scope must not keep
+		// answering window-scoped queries from pre-reset data. Stored
+		// history is untouched.
+		sc.sk.Reset()
+		if sc.win != nil {
+			sc.win.Reset()
 		}
 		fmt.Fprintln(w, "OK")
-	case "HELLO":
-		// Framing negotiation. "HELLO BIN <v>" (v in 1..binaryVersionMax)
-		// upgrades the connection to the length-prefixed binary framing
-		// at that version (acknowledged in text — the switch happens
-		// after this reply flushes); clients offer their best version and
-		// descend on ERR, so an old server declining BIN 2 falls back to
-		// BIN 1 cleanly. "HELLO TEXT 1" explicitly confirms the default.
-		// Anything else is a sanitized one-line ERR and the connection
-		// stays in text framing, fully synchronized: HELLO is a single
-		// line, so there is nothing in flight to drain.
-		if c.bin {
-			// Reached via a CMD frame: the framing is already fixed for
-			// the connection's lifetime and cannot be renegotiated.
-			return false, errors.New("framing already negotiated")
-		}
-		if len(args) != 2 {
-			return false, errors.New("usage: HELLO <BIN|TEXT> <version>")
-		}
-		proto := strings.ToUpper(args[0])
-		ver, verr := strconv.Atoi(args[1])
-		if verr != nil {
-			return false, errors.New("usage: HELLO <BIN|TEXT> <version>")
-		}
-		switch {
-		case proto == "BIN" && ver >= binaryVersionMin && ver <= binaryVersionMax:
-			c.bin = true
-			c.binVer = ver
-			fmt.Fprintf(w, "HELLO BIN %d\n", ver)
-		case proto == "TEXT" && ver == 1:
-			fmt.Fprintln(w, "HELLO TEXT 1")
-		default:
-			return false, fmt.Errorf("unsupported protocol %s %d (want BIN %d..%d or TEXT 1)",
-				proto, ver, binaryVersionMin, binaryVersionMax)
-		}
-	case "QUIT":
-		fmt.Fprintln(w, "BYE")
-		return true, nil
 	default:
-		return false, fmt.Errorf("unknown command %q", cmd)
+		return false, fmt.Errorf("unknown %scommand %q", kind, cmd)
 	}
 	return false, nil
+}
+
+// flush applies the connection's buffered updates to the global
+// summaries: the writer's pairs and their windowed twins.
+func (c *conn) flush() error {
+	if err := c.writer.Flush(); err != nil {
+		return err
+	}
+	c.flushWindowed()
+	return nil
+}
+
+// hello serves the framing negotiation. "HELLO BIN <v>" (v in
+// 1..binaryVersionMax) upgrades the connection to the length-prefixed
+// binary framing at that version (acknowledged in text — the switch
+// happens after this reply flushes); clients offer their best version
+// and descend on ERR, so an old server declining BIN 2 falls back to
+// BIN 1 cleanly. "HELLO TEXT 1" explicitly confirms the default.
+// Anything else is a sanitized one-line ERR and the connection stays in
+// text framing, fully synchronized: HELLO is a single line, so there is
+// nothing in flight to drain.
+func (c *conn) hello(args []string) error {
+	if c.bin {
+		// Reached via a CMD frame: the framing is already fixed for the
+		// connection's lifetime and cannot be renegotiated.
+		return errors.New("framing already negotiated")
+	}
+	if len(args) != 2 {
+		return errors.New("usage: HELLO <BIN|TEXT> <version>")
+	}
+	proto := strings.ToUpper(args[0])
+	ver, verr := strconv.Atoi(args[1])
+	if verr != nil {
+		return errors.New("usage: HELLO <BIN|TEXT> <version>")
+	}
+	switch {
+	case proto == "BIN" && ver >= binaryVersionMin && ver <= binaryVersionMax:
+		c.bin = true
+		c.binVer = ver
+		fmt.Fprintf(c.w, "HELLO BIN %d\n", ver)
+	case proto == "TEXT" && ver == 1:
+		fmt.Fprintln(c.w, "HELLO TEXT 1")
+	default:
+		return fmt.Errorf("unsupported protocol %s %d (want BIN %d..%d or TEXT 1)",
+			proto, ver, binaryVersionMin, binaryVersionMax)
+	}
+	return nil
 }
 
 // readBatch consumes one UB-style batch — the "<count>" argument plus
@@ -785,373 +875,177 @@ func (c *conn) drainLines(n int) bool {
 	return true
 }
 
-// dispatchWindow executes one WIN-scoped query: the read commands
-// (EST/Q, TOPK/TOP, FI, SNAP/SNAPSHOT) against the merged view of the
-// last w intervals of win — the global sliding window or a tenant's
-// twin — with replies shaped exactly like their all-time counterparts.
-func (c *conn) dispatchWindow(win *freq.ConcurrentWindowed[int64], args []string) (quit bool, err error) {
-	s := c.srv
-	w := c.w
-	if win == nil {
-		return false, ErrNoWindow
-	}
-	if len(args) < 2 {
-		return false, errors.New("usage: WIN <w> <EST|TOPK|FI|SNAP> ...")
-	}
-	width, err := strconv.Atoi(args[0])
-	if err != nil || width < 1 {
-		return false, errors.New("bad window width")
-	}
-	sub := strings.ToUpper(args[1])
-	rest := args[2:]
-	switch sub {
-	case "Q", "EST":
-		if len(rest) != 1 {
-			return false, fmt.Errorf("usage: WIN <w> %s <item>", sub)
-		}
-		item, err := strconv.ParseInt(rest[0], 10, 64)
-		if err != nil {
-			return false, errors.New("bad integer")
-		}
-		s.statsMu.Lock()
-		s.queries++
-		s.statsMu.Unlock()
-		est, lb, ub := win.EstimateLast(width, item)
-		fmt.Fprintf(w, "EST %d %d %d\n", est, lb, ub)
-	case "TOP", "TOPK":
-		if len(rest) != 1 {
-			return false, fmt.Errorf("usage: WIN <w> %s <n>", sub)
-		}
-		n, err := strconv.Atoi(rest[0])
-		if err != nil || n < 1 {
-			return false, errors.New("bad count")
-		}
-		writeRows(w, win.TopKLast(width, n))
-	case "FI":
-		if len(rest) != 2 {
-			return false, errors.New("usage: WIN <w> FI <et> <threshold>")
-		}
-		et, err := parseErrorType(rest[0])
-		if err != nil {
-			return false, err
-		}
-		threshold, err := strconv.ParseInt(rest[1], 10, 64)
-		if err != nil {
-			return false, errors.New("bad threshold")
-		}
-		writeRows(w, win.FrequentItemsAboveThresholdLast(width, threshold, et))
-	case "SNAPSHOT", "SNAP":
-		// A window-scoped snapshot is the merged view of the last w
-		// intervals in the ordinary single-sketch wire format — the
-		// same blob shape as SNAP, so the client decode path is shared.
-		buf, snapErr := win.AppendBinaryLast(width, c.snapBuf[:0])
-		c.snapBuf = buf
-		if snapErr != nil {
-			return false, snapErr
-		}
-		fmt.Fprintf(w, "SNAP %d\n", len(c.snapBuf))
-		if _, err := w.Write(c.snapBuf); err != nil {
-			return false, err
-		}
-	default:
-		return false, fmt.Errorf("unknown window command %q", sub)
-	}
-	return false, nil
+// source is one summary the read verbs answer from: a scope's live
+// all-time sketch, the merged view of its last w window intervals, or
+// the merged view of its stored history over a RANGE. Replies are
+// shaped identically whichever it is.
+type source interface {
+	estimate(item int64) (est, lb, ub int64)
+	topK(n int) []freq.Row[int64]
+	aboveThreshold(threshold int64, et freq.ErrorType) []freq.Row[int64]
+	appendBinary(dst []byte) ([]byte, error)
 }
 
-// dispatchRange executes one RANGE-scoped query: the read commands
-// (EST/Q, TOPK/TOP, FI, SNAP/SNAPSHOT) against the merged summary of
-// every persisted slot overlapping [from, to), with replies shaped
-// exactly like their all-time and WIN counterparts. query is the
-// history to merge from — the global store's QueryInto or a
-// tenant-scoped closure over the tenant store. The merge reuses the
-// connection's accumulator, so polling a stable range costs no
-// allocation.
-func (c *conn) dispatchRange(args []string, query func(dst *freq.Sketch[int64], from, to time.Time) (*freq.Sketch[int64], error)) (quit bool, err error) {
-	s := c.srv
+// liveSource reads the all-time sketch: EST from its live per-shard
+// bands, rows and SNAP from its epoch-cached merged view, so repeated
+// reads with no interleaved writes re-merge nothing.
+type liveSource struct{ sk *freq.Concurrent[int64] }
+
+func (l liveSource) estimate(item int64) (est, lb, ub int64) {
+	return l.sk.Estimate(item), l.sk.LowerBound(item), l.sk.UpperBound(item)
+}
+
+func (l liveSource) topK(n int) []freq.Row[int64] { return l.sk.TopK(n) }
+
+func (l liveSource) aboveThreshold(threshold int64, et freq.ErrorType) []freq.Row[int64] {
+	return l.sk.FrequentItemsAboveThreshold(threshold, et)
+}
+
+func (l liveSource) appendBinary(dst []byte) ([]byte, error) {
+	v, err := l.sk.View()
+	if err != nil {
+		return dst, err
+	}
+	return v.AppendBinary(dst)
+}
+
+// windowSource reads the merged view of the last width intervals of a
+// window, each read under one hold of the window lock — so an EST
+// triple describes one window state.
+type windowSource struct {
+	win   *freq.ConcurrentWindowed[int64]
+	width int
+}
+
+func (ws windowSource) estimate(item int64) (est, lb, ub int64) {
+	return ws.win.EstimateLast(ws.width, item)
+}
+
+func (ws windowSource) topK(n int) []freq.Row[int64] { return ws.win.TopKLast(ws.width, n) }
+
+func (ws windowSource) aboveThreshold(threshold int64, et freq.ErrorType) []freq.Row[int64] {
+	return ws.win.FrequentItemsAboveThresholdLast(ws.width, threshold, et)
+}
+
+func (ws windowSource) appendBinary(dst []byte) ([]byte, error) {
+	return ws.win.AppendBinaryLast(ws.width, dst)
+}
+
+// rangeSource reads a merged RANGE view of stored slots.
+type rangeSource struct{ v *freq.View[int64] }
+
+func (rs rangeSource) estimate(item int64) (est, lb, ub int64) {
+	return rs.v.Estimate(item), rs.v.LowerBound(item), rs.v.UpperBound(item)
+}
+
+func (rs rangeSource) topK(n int) []freq.Row[int64] { return rs.v.TopK(n) }
+
+func (rs rangeSource) aboveThreshold(threshold int64, et freq.ErrorType) []freq.Row[int64] {
+	return rs.v.FrequentItemsAboveThreshold(threshold, et)
+}
+
+func (rs rangeSource) appendBinary(dst []byte) ([]byte, error) { return rs.v.AppendBinary(dst) }
+
+// read serves one read verb — EST/Q, TOPK/TOP, FI or SNAP/SNAPSHOT —
+// from src. usage names the scope in usage errors ("", "WIN <w> ",
+// "RANGE <from> <to> ") and kind in the unknown-verb error ("window ",
+// "range ").
+func (c *conn) read(src source, usage, kind, verb string, args []string) error {
 	w := c.w
+	switch verb {
+	case "Q", "EST":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: %s%s <item>", usage, verb)
+		}
+		item, err := strconv.ParseInt(args[0], 10, 64)
+		if err != nil {
+			return errors.New("bad integer")
+		}
+		c.srv.queries.Add(1)
+		est, lb, ub := src.estimate(item)
+		fmt.Fprintf(w, "EST %d %d %d\n", est, lb, ub)
+	case "TOP", "TOPK":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: %s%s <n>", usage, verb)
+		}
+		n, err := strconv.Atoi(args[0])
+		if err != nil || n < 1 {
+			return errors.New("bad count")
+		}
+		writeRows(w, src.topK(n))
+	case "FI":
+		if len(args) != 2 {
+			return fmt.Errorf("usage: %sFI <et> <threshold>", usage)
+		}
+		et, err := parseErrorType(args[0])
+		if err != nil {
+			return err
+		}
+		threshold, err := strconv.ParseInt(args[1], 10, 64)
+		if err != nil {
+			return errors.New("bad threshold")
+		}
+		writeRows(w, src.aboveThreshold(threshold, et))
+	case "SNAPSHOT", "SNAP":
+		// Every scope's snapshot is the ordinary single-sketch wire
+		// format, so one client decode path (and the Cluster merge)
+		// serves them all. The encoding reuses the connection's buffer:
+		// a SNAP poll loop allocates nothing after the first reply.
+		buf, err := src.appendBinary(c.snapBuf[:0])
+		c.snapBuf = buf
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "SNAP %d\n", len(buf))
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("unknown %scommand %q", kind, verb)
+	}
+	return nil
+}
+
+// readRange serves one RANGE-scoped read: the scope's persisted slots
+// overlapping [from, to), merged into one summary — the global store's
+// history, or the tenant store's for a tenant scope. The merge reuses
+// the connection's accumulator, so polling a stable range costs no
+// allocation.
+func (c *conn) readRange(sc scope, args []string) error {
+	s := c.srv
+	if sc.ten == nil && s.store == nil {
+		return ErrNoStore
+	}
+	if sc.ten != nil && s.tenantStore == nil {
+		return ErrNoTenantStore
+	}
 	if len(args) < 3 {
-		return false, errors.New("usage: RANGE <from> <to> <EST|TOPK|FI|SNAP> ...")
+		return errors.New("usage: RANGE <from> <to> <EST|TOPK|FI|SNAP> ...")
 	}
 	from, err := parseTime(args[0])
 	if err != nil {
-		return false, fmt.Errorf("bad from: %w", err)
+		return fmt.Errorf("bad from: %w", err)
 	}
 	to, err := parseTime(args[1])
 	if err != nil {
-		return false, fmt.Errorf("bad to: %w", err)
+		return fmt.Errorf("bad to: %w", err)
 	}
 	if !to.After(from) {
-		return false, errors.New("empty range: to must be after from")
+		return errors.New("empty range: to must be after from")
 	}
-	sk, err := query(c.rangeSk, from, to)
+	var sk *freq.Sketch[int64]
+	if sc.ten == nil {
+		sk, err = s.store.QueryInto(c.rangeSk, from, to)
+	} else {
+		sk, err = s.tenantStore.QueryTenantInto(sc.id, c.rangeSk, from, to)
+	}
 	if sk != nil {
 		c.rangeSk = sk
 	}
 	if err != nil {
-		return false, err
-	}
-	v := freq.NewView(sk)
-	sub := strings.ToUpper(args[2])
-	rest := args[3:]
-	switch sub {
-	case "Q", "EST":
-		if len(rest) != 1 {
-			return false, fmt.Errorf("usage: RANGE <from> <to> %s <item>", sub)
-		}
-		item, err := strconv.ParseInt(rest[0], 10, 64)
-		if err != nil {
-			return false, errors.New("bad integer")
-		}
-		s.statsMu.Lock()
-		s.queries++
-		s.statsMu.Unlock()
-		fmt.Fprintf(w, "EST %d %d %d\n", v.Estimate(item), v.LowerBound(item), v.UpperBound(item))
-	case "TOP", "TOPK":
-		if len(rest) != 1 {
-			return false, fmt.Errorf("usage: RANGE <from> <to> %s <n>", sub)
-		}
-		n, err := strconv.Atoi(rest[0])
-		if err != nil || n < 1 {
-			return false, errors.New("bad count")
-		}
-		writeRows(w, v.TopK(n))
-	case "FI":
-		if len(rest) != 2 {
-			return false, errors.New("usage: RANGE <from> <to> FI <et> <threshold>")
-		}
-		et, err := parseErrorType(rest[0])
-		if err != nil {
-			return false, err
-		}
-		threshold, err := strconv.ParseInt(rest[1], 10, 64)
-		if err != nil {
-			return false, errors.New("bad threshold")
-		}
-		writeRows(w, v.FrequentItemsAboveThreshold(threshold, et))
-	case "SNAPSHOT", "SNAP":
-		// A range snapshot is the merged historical summary in the
-		// ordinary single-sketch wire format — the same blob shape as
-		// SNAP and WIN SNAP, so the client decode path is shared.
-		buf, snapErr := v.AppendBinary(c.snapBuf[:0])
-		c.snapBuf = buf
-		if snapErr != nil {
-			return false, snapErr
-		}
-		fmt.Fprintf(w, "SNAP %d\n", len(c.snapBuf))
-		if _, err := w.Write(c.snapBuf); err != nil {
-			return false, err
-		}
-	default:
-		return false, fmt.Errorf("unknown range command %q", sub)
-	}
-	return false, nil
-}
-
-// cmdEstimate serves EST/Q against sk — the global summary or an
-// acquired tenant's. cmd names the command for usage text.
-func (c *conn) cmdEstimate(cmd string, args []string, sk *freq.Concurrent[int64]) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: %s <item>", cmd)
-	}
-	item, err := strconv.ParseInt(args[0], 10, 64)
-	if err != nil {
-		return errors.New("bad integer")
-	}
-	s := c.srv
-	s.statsMu.Lock()
-	s.queries++
-	s.statsMu.Unlock()
-	fmt.Fprintf(c.w, "EST %d %d %d\n", sk.Estimate(item), sk.LowerBound(item), sk.UpperBound(item))
-	return nil
-}
-
-// cmdTopK serves TOPK/TOP against sk.
-func (c *conn) cmdTopK(cmd string, args []string, sk *freq.Concurrent[int64]) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: %s <n>", cmd)
-	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 1 {
-		return errors.New("bad count")
-	}
-	writeRows(c.w, sk.TopK(n))
-	return nil
-}
-
-// cmdFI serves FI against sk.
-func (c *conn) cmdFI(args []string, sk *freq.Concurrent[int64]) error {
-	if len(args) != 2 {
-		return errors.New("usage: FI <et> <threshold>")
-	}
-	et, err := parseErrorType(args[0])
-	if err != nil {
 		return err
 	}
-	threshold, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil {
-		return errors.New("bad threshold")
-	}
-	writeRows(c.w, sk.FrequentItemsAboveThreshold(threshold, et))
-	return nil
-}
-
-// cmdHH serves HH against sk.
-func (c *conn) cmdHH(args []string, sk *freq.Concurrent[int64]) error {
-	if len(args) != 1 {
-		return errors.New("usage: HH <phi-millis>")
-	}
-	millis, err := strconv.Atoi(args[0])
-	if err != nil || millis < 0 || millis > 1000 {
-		return errors.New("phi-millis must be 0..1000")
-	}
-	threshold := int64(float64(millis) / 1000 * float64(sk.StreamWeight()))
-	writeRows(c.w, sk.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives))
-	return nil
-}
-
-// cmdSnap serves SNAP/SNAPSHOT against sk from its epoch-cached merged
-// view: repeated SNAPs with no interleaved writes re-merge nothing, and
-// the encoding reuses the connection's buffer.
-func (c *conn) cmdSnap(sk *freq.Concurrent[int64]) error {
-	v, err := sk.View()
-	if err != nil {
-		return err
-	}
-	c.snapBuf, err = v.AppendBinary(c.snapBuf[:0])
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.w, "SNAP %d\n", len(c.snapBuf))
-	if _, err := c.w.Write(c.snapBuf); err != nil {
-		return err
-	}
-	return nil
-}
-
-// dispatchTenant executes one TENANT-scoped command: the same command
-// surface as the global dispatcher (U, UB, EST/Q, TOPK/TOP, FI, HH,
-// SNAP, STATS, WIN, RANGE, ROTATE, RESET — plus EVICT), run against the
-// tenant's own summary pair from the registry. The tenant handle is
-// acquired for exactly the duration of the command, so an eviction can
-// never recycle the tables out from under a command in flight.
-func (c *conn) dispatchTenant(args []string) (quit bool, err error) {
-	s := c.srv
-	if s.tenants == nil {
-		return false, ErrNoTenants
-	}
-	if len(args) < 2 {
-		return false, errors.New("usage: TENANT <id> <command> ...")
-	}
-	id := args[0]
-	sub := strings.ToUpper(args[1])
-	rest := args[2:]
-	w := c.w
-	switch sub {
-	case "EVICT":
-		// EVICT must not acquire the handle it is trying to retire: a
-		// held handle is exactly what Evict rejects as busy.
-		if len(rest) != 0 {
-			return false, errors.New("usage: TENANT <id> EVICT")
-		}
-		if err := s.tenants.Evict(id); err != nil {
-			return false, err
-		}
-		fmt.Fprintln(w, "OK")
-		return false, nil
-	case "UB":
-		if c.bin {
-			// Inside a CMD frame the pair lines would have to be read
-			// from the binary stream as text — a framing violation. The
-			// binary tenant batch path is a v2 PAIRS frame.
-			return false, errors.New("TENANT UB is text-framing only (binary clients send v2 PAIRS frames)")
-		}
-		// The client committed the pair lines to the wire with the
-		// header, so consume the batch before acquiring: a failed
-		// acquire (bad id, full registry) must still leave the
-		// connection synchronized.
-		items, weights, q, berr := c.readBatch(rest, "TENANT <id> UB <count>")
-		if berr != nil {
-			return q, berr
-		}
-		ten, aerr := s.tenants.Acquire(id)
-		if aerr != nil {
-			return false, aerr
-		}
-		defer ten.Release()
-		if berr := ten.UpdateWeightedBatch(items, weights); berr != nil {
-			return false, berr
-		}
-		s.statsMu.Lock()
-		s.updates += int64(len(items))
-		s.statsMu.Unlock()
-		fmt.Fprintf(w, "OK %d\n", len(items))
-		return false, nil
-	}
-	ten, err := s.tenants.Acquire(id)
-	if err != nil {
-		return false, err
-	}
-	defer ten.Release()
-	switch sub {
-	case "U":
-		if len(rest) != 2 {
-			return false, errors.New("usage: TENANT <id> U <item> <weight>")
-		}
-		item, err1 := strconv.ParseInt(rest[0], 10, 64)
-		weight, err2 := strconv.ParseInt(rest[1], 10, 64)
-		if err1 != nil || err2 != nil {
-			return false, errors.New("bad integer")
-		}
-		if err := ten.Update(item, weight); err != nil {
-			return false, err
-		}
-		s.statsMu.Lock()
-		s.updates++
-		s.statsMu.Unlock()
-		fmt.Fprintln(w, "OK")
-	case "Q", "EST":
-		return false, c.cmdEstimate(sub, rest, ten.Sketch())
-	case "TOP", "TOPK":
-		return false, c.cmdTopK(sub, rest, ten.Sketch())
-	case "FI":
-		return false, c.cmdFI(rest, ten.Sketch())
-	case "HH":
-		return false, c.cmdHH(rest, ten.Sketch())
-	case "SNAPSHOT", "SNAP":
-		return false, c.cmdSnap(ten.Sketch())
-	case "STATS":
-		// The tenant-scoped reply leads with the same fields as the
-		// global one, so the client's positional prefix parse is shared.
-		slots := 0
-		if win := ten.Windowed(); win != nil {
-			slots = win.Intervals()
-		}
-		fmt.Fprintf(w, "STATS n=%d err=%d shards=%d slots=%d\n",
-			ten.Sketch().StreamWeight(), ten.Sketch().MaximumError(), ten.Sketch().NumShards(), slots)
-	case "WIN":
-		return c.dispatchWindow(ten.Windowed(), rest)
-	case "RANGE":
-		if s.tenantStore == nil {
-			return false, ErrNoTenantStore
-		}
-		return c.dispatchRange(rest, func(dst *freq.Sketch[int64], from, to time.Time) (*freq.Sketch[int64], error) {
-			return s.tenantStore.QueryTenantInto(id, dst, from, to)
-		})
-	case "ROTATE":
-		win := ten.Windowed()
-		if win == nil {
-			return false, ErrNoWindow
-		}
-		win.Rotate()
-		fmt.Fprintf(w, "OK %d\n", win.Rotations())
-	case "RESET":
-		ten.Reset()
-		fmt.Fprintln(w, "OK")
-	default:
-		return false, fmt.Errorf("unknown tenant command %q", sub)
-	}
-	return false, nil
+	return c.read(rangeSource{freq.NewView(sk)}, "RANGE <from> <to> ", "range ", strings.ToUpper(args[2]), args[3:])
 }
 
 // parseTime reads a RANGE bound: integer unix seconds or an RFC 3339
@@ -1198,9 +1092,8 @@ func writeRows(w io.Writer, rows []freq.Row[int64]) {
 	}
 }
 
-// Counters returns the number of updates and queries served (diagnostics).
+// Counters returns the number of updates and queries served
+// (diagnostics). An EST/Q in any scope counts as one query.
 func (s *Server) Counters() (updates, queries int64) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.updates, s.queries
+	return s.updates.Load(), s.queries.Load()
 }

@@ -92,7 +92,7 @@ func TestTopAndHeavyHitters(t *testing.T) {
 	_ = c.Update(1, 5000)
 	_ = c.Update(2, 3000)
 	_ = c.Update(3, 100)
-	top, err := c.Top(2)
+	top, err := c.TopK(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,8 +94,8 @@ func TestTenantTextCommands(t *testing.T) {
 	if err := alice.Update(7, 5); err != nil {
 		t.Fatal(err)
 	}
-	if est, _, _, err := alice.QueryWindow(1, 7); err != nil || est != 5 {
-		t.Fatalf("alice QueryWindow(1, 7) = %d, %v; want 5", est, err)
+	if est, _, _, err := alice.Window(1).Query(7); err != nil || est != 5 {
+		t.Fatalf("alice Window(1).Query(7) = %d, %v; want 5", est, err)
 	}
 
 	if err := alice.Reset(); err != nil {
@@ -368,7 +368,7 @@ func TestTenantEvictionPersistsToStore(t *testing.T) {
 	if n, _, err := alice.Stats(); err != nil || n != 0 {
 		t.Fatalf("live weight after evict = %d, %v; want 0", n, err)
 	}
-	if est, _, _, err := alice.QueryRange(from, to, 7); err != nil || est != 100 {
+	if est, _, _, err := alice.Range(from, to).Query(7); err != nil || est != 100 {
 		t.Fatalf("RANGE EST(7) after evict = %d, %v; want 100", est, err)
 	}
 
@@ -380,22 +380,22 @@ func TestTenantEvictionPersistsToStore(t *testing.T) {
 	if err := alice.Evict(); err != nil {
 		t.Fatal(err)
 	}
-	if est, _, _, err := alice.QueryRange(from, to, 7); err != nil || est != 150 {
+	if est, _, _, err := alice.Range(from, to).Query(7); err != nil || est != 150 {
 		t.Fatalf("RANGE EST(7) after two generations = %d, %v; want 150", est, err)
 	}
-	rows, err := alice.TopKRange(from, to, 1)
+	rows, err := alice.Range(from, to).TopK(1)
 	if err != nil || len(rows) != 1 || rows[0].Item != 7 {
-		t.Fatalf("TopKRange = %v, %v", rows, err)
+		t.Fatalf("Range.TopK = %v, %v", rows, err)
 	}
-	if sk, err := alice.SnapshotRange(from, to); err != nil || sk.Estimate(9) != 11 {
-		t.Fatalf("SnapshotRange: %v (est9=%v)", err, sk)
+	if sk, err := alice.Range(from, to).Snapshot(); err != nil || sk.Estimate(9) != 11 {
+		t.Fatalf("Range.Snapshot: %v (est9=%v)", err, sk)
 	}
 	// Another tenant's range view is empty: partitions are scoped.
 	bob, err := c.Tenant("bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est, _, _, err := bob.QueryRange(from, to, 7); err != nil || est != 0 {
+	if est, _, _, err := bob.Range(from, to).Query(7); err != nil || est != 0 {
 		t.Fatalf("bob RANGE EST(7) = %d, %v; want 0", est, err)
 	}
 	if mgr.SinkErr() != nil {

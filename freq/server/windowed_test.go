@@ -123,7 +123,7 @@ func TestWindowCommandsOverWire(t *testing.T) {
 	}
 
 	// Window-scoped point query sees the head interval.
-	est, lb, ub, err := c.QueryWindow(1, 1)
+	est, lb, ub, err := c.Window(1).Query(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestWindowCommandsOverWire(t *testing.T) {
 		t.Fatalf("WIN EST: (%d, %d, %d), want (100, 100, 100)", est, lb, ub)
 	}
 
-	rows, err := c.TopKWindow(3, 2)
+	rows, err := c.Window(3).TopK(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestWindowCommandsOverWire(t *testing.T) {
 		t.Fatalf("WIN TOPK: %v", rows)
 	}
 
-	fi, err := c.FrequentItemsAboveThresholdWindow(3, 20, freq.NoFalseNegatives)
+	fi, err := c.Window(3).FrequentItemsAboveThreshold(20, freq.NoFalseNegatives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +158,17 @@ func TestWindowCommandsOverWire(t *testing.T) {
 			t.Fatalf("rotations=%d, want %d", got, want)
 		}
 	}
-	if est, _, _, _ := c.QueryWindow(3, 1); est != 100 {
+	if est, _, _, _ := c.Window(3).Query(1); est != 100 {
 		t.Fatalf("update expired early: %d", est)
 	}
 	// Width 1 scopes to the (empty) current interval.
-	if est, _, _, _ := c.QueryWindow(1, 1); est != 0 {
+	if est, _, _, _ := c.Window(1).Query(1); est != 0 {
 		t.Fatalf("WIN 1 EST sees old intervals: %d", est)
 	}
 	if _, err := c.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if est, _, _, _ := c.QueryWindow(3, 1); est != 0 {
+	if est, _, _, _ := c.Window(3).Query(1); est != 0 {
 		t.Fatalf("update survived full window: %d", est)
 	}
 
@@ -197,14 +197,14 @@ func TestWindowSnapshotOverWire(t *testing.T) {
 	}
 
 	// A width-2 snapshot covers both intervals; width-1 only the head.
-	snap2, err := c.SnapshotWindow(2)
+	snap2, err := c.Window(2).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap2.Estimate(11) != 70 || snap2.Estimate(22) != 30 || snap2.StreamWeight() != 100 {
 		t.Fatalf("width-2 snapshot wrong: %v", snap2)
 	}
-	snap1, err := c.SnapshotWindow(1)
+	snap1, err := c.Window(1).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestResetClearsWindowToo(t *testing.T) {
 	if err := c.Update(9, 250); err != nil {
 		t.Fatal(err)
 	}
-	if est, _, _, _ := c.QueryWindow(3, 9); est != 250 {
+	if est, _, _, _ := c.Window(3).Query(9); est != 250 {
 		t.Fatalf("pre-reset window estimate=%d", est)
 	}
 	if err := c.Reset(); err != nil {
@@ -228,7 +228,7 @@ func TestResetClearsWindowToo(t *testing.T) {
 	if est, _, _, err := c.Query(9); err != nil || est != 0 {
 		t.Fatalf("all-time after RESET: est=%d, err=%v", est, err)
 	}
-	if est, _, _, err := c.QueryWindow(3, 9); err != nil || est != 0 {
+	if est, _, _, err := c.Window(3).Query(9); err != nil || est != 0 {
 		t.Fatalf("window after RESET: est=%d, err=%v (the windowed twin kept pre-reset data)", est, err)
 	}
 }
@@ -239,7 +239,7 @@ func TestWindowCommandsWithoutWindowErr(t *testing.T) {
 	if _, err := c.Rotate(); err == nil || !strings.Contains(err.Error(), "no window") {
 		t.Fatalf("ROTATE without window: %v", err)
 	}
-	if _, _, _, err := c.QueryWindow(1, 7); err == nil || !strings.Contains(err.Error(), "no window") {
+	if _, _, _, err := c.Window(1).Query(7); err == nil || !strings.Contains(err.Error(), "no window") {
 		t.Fatalf("WIN without window: %v", err)
 	}
 	// The connection survives both rejections.
@@ -282,7 +282,7 @@ func TestClusterWindowFanout(t *testing.T) {
 		if err := c.Update(int64(200+i), 5); err != nil {
 			t.Fatal(err)
 		}
-		if est, _, _, err := c.QueryWindow(3, 7); err != nil || est != int64(10*(i+1)) {
+		if est, _, _, err := c.Window(3).Query(7); err != nil || est != int64(10*(i+1)) {
 			t.Fatalf("node %d window estimate=%d, err=%v", i, est, err)
 		}
 	}

@@ -161,7 +161,8 @@ func (w *Writer[T]) Add(item T, weight int64) error {
 // hot path of the binary wire protocol, where a received pair block is
 // partitioned into the per-shard buffers in one pass. Validation is
 // all-or-nothing and happens before anything is buffered: a negative
-// weight anywhere rejects the entire batch with ErrNegativeWeight and
+// weight anywhere rejects the entire batch with ErrNegativeWeight
+// (wrapped in the same message the facade's batch paths return) and
 // buffers none of it. Zero-weight pairs are skipped as no-ops. Shards
 // that fill mid-batch flush themselves, and the writer flushes as usual
 // once BatchSize pairs are pending, so callers may hand over slices that
@@ -175,7 +176,8 @@ func (w *Writer[T]) AddPairs(pairs []Pair[T]) error {
 	}
 	for i := range pairs {
 		if pairs[i].Weight < 0 {
-			return ErrNegativeWeight
+			// Cold: only a rejected batch formats its message.
+			return negativeWeight(pairs[i].Weight)
 		}
 	}
 	if w.fast != nil {
