@@ -17,8 +17,8 @@ var (
 	// that 0 is rejected too: the sample-minimum policy is requested
 	// explicitly via WithSMIN, never by a magic quantile value.
 	ErrBadQuantile = errors.New("freq: decrement quantile outside (0, 1)")
-	// ErrBadSampleSize rejects a non-positive decrement sample size.
-	ErrBadSampleSize = errors.New("freq: sample size must be positive")
+	// ErrBadSampleSize rejects a decrement sample size outside [1, 65536].
+	ErrBadSampleSize = errors.New("freq: sample size outside [1, 65536]")
 	// ErrBadShards rejects a non-positive shard count.
 	ErrBadShards = errors.New("freq: shard count must be positive")
 	// ErrNegativeWeight rejects a negative update weight on an unsigned

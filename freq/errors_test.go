@@ -23,6 +23,7 @@ func TestSentinelErrors(t *testing.T) {
 		{"quantile one", errOf(freq.New[uint64](64, freq.WithQuantile(1))), freq.ErrBadQuantile},
 		{"quantile negative", errOf(freq.New[string](64, freq.WithQuantile(-0.3))), freq.ErrBadQuantile},
 		{"sample size zero", errOf(freq.New[uint64](64, freq.WithSampleSize(0))), freq.ErrBadSampleSize},
+		{"sample size huge", errOf(freq.New[string](64, freq.WithSampleSize(1<<16+1))), freq.ErrBadSampleSize},
 		{"shards zero", errOfConc(freq.NewConcurrent[uint64](64, freq.WithShards(0))), freq.ErrBadShards},
 		{"signed bad quantile", errOfSigned(freq.NewSigned[uint64](64, freq.WithQuantile(2))), freq.ErrBadQuantile},
 		{"concurrent huge", errOfConc(freq.NewConcurrent[uint64](1<<30, freq.WithShards(1))), freq.ErrTooManyCounters},

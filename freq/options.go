@@ -101,10 +101,10 @@ func WithSMIN() Option {
 }
 
 // WithSampleSize sets ℓ, the number of counters sampled per decrement
-// (default 1024, the §2.3.2 choice).
+// (default 1024, the §2.3.2 choice), between 1 and 65536.
 func WithSampleSize(l int) Option {
 	return func(c *config) error {
-		if l < 1 {
+		if l < 1 || l > core.MaxSampleSize {
 			return fmt.Errorf("%w: %d", ErrBadSampleSize, l)
 		}
 		c.sampleSize = l

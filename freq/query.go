@@ -252,21 +252,24 @@ func (q *Query[T]) compare(a, b Row[T]) int {
 
 // All returns the query result as an (item, row) iterator. With
 // OrderNone and no custom comparison, rows stream straight from the
-// source through the filters — no intermediate slice; any other ordering
-// materializes the filtered rows once, sorts, and pages. Evaluation
-// happens when the iterator runs, so the result reflects the source at
-// that moment.
+// source through the filters — no intermediate slice. An ordered query
+// with a Limit selects: one pass over the source keeps only the
+// Offset+Limit rows that sort first, and only those are sorted and
+// paged. An ordered query without a Limit materializes the filtered
+// rows once and sorts them all. Evaluation happens when the iterator
+// runs, so the result reflects the source at that moment.
 func (q *Query[T]) All() iter.Seq2[T, Row[T]] {
 	if q.order == OrderNone && q.cmpFn == nil {
 		return q.stream()
 	}
 	return func(yield func(T, Row[T]) bool) {
-		var rows []Row[T]
-		for _, r := range q.src.All() {
-			if q.match(r) {
-				rows = append(rows, r)
-			}
+		// A negative keep keeps every matching row: the query has no
+		// Limit, or Offset+Limit overflowed int and wrapped negative.
+		keep := q.offset + q.limit
+		if q.limit < 0 {
+			keep = -1
 		}
+		rows := q.firstRows(keep)
 		slices.SortFunc(rows, q.compare)
 		if q.offset > 0 {
 			if q.offset >= len(rows) {
@@ -282,6 +285,52 @@ func (q *Query[T]) All() iter.Seq2[T, Row[T]] {
 				return
 			}
 		}
+	}
+}
+
+// firstRows returns, unsorted, the n matching rows that sort first
+// under compare, or every matching row when n < 0, in one pass over the
+// source. Once n rows are held they form a heap whose root is the held
+// row that sorts last, and a later row replaces the root only if it
+// sorts before it. The slice grows by append as rows arrive and is
+// never sized from n: n may be a count a client sent
+// (TOPK 9223372036854775807).
+func (q *Query[T]) firstRows(n int) []Row[T] {
+	var rows []Row[T]
+	for _, r := range q.src.All() {
+		switch {
+		case !q.match(r):
+		case n < 0 || len(rows) < n:
+			rows = append(rows, r)
+			if len(rows) == n {
+				for i := n/2 - 1; i >= 0; i-- {
+					q.siftDown(rows, i)
+				}
+			}
+		case n > 0 && q.compare(r, rows[0]) < 0:
+			rows[0] = r
+			q.siftDown(rows, 0)
+		}
+	}
+	return rows
+}
+
+// siftDown moves h[i] down until no child sorts after it, restoring the
+// heap below i.
+func (q *Query[T]) siftDown(h []Row[T], i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && q.compare(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if q.compare(h[i], h[c]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 

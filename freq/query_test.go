@@ -5,9 +5,14 @@
 package freq_test
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/freq"
@@ -266,5 +271,161 @@ func TestSignedQueryParity(t *testing.T) {
 		if r.Item == 4 {
 			t.Error("net-negative item cleared a positive threshold")
 		}
+	}
+}
+
+// TestQuerySelectionMatchesFullSort pins the bounded selection behind
+// every limited ordered query to the full sort: on random sketches
+// thick with equal estimates, each ordering, filter and page returns
+// exactly what materializing, sorting and paging every row returns.
+func TestQuerySelectionMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	fast, err := freq.New[int64](256, freq.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	generic, err := freq.New[string](256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed, err := freq.NewSigned[int64](256, freq.WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 20000 {
+		item, w := rng.Int64N(3000), 1+rng.Int64N(3)
+		if err := fast.Update(item, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := generic.Update(strconv.FormatInt(item, 10), w); err != nil {
+			t.Fatal(err)
+		}
+		if rng.IntN(4) == 0 {
+			w = -w
+		}
+		signed.Update(item, w)
+	}
+	checkSelection(t, "fast", fast, func(r freq.Row[int64]) bool { return r.Item%3 != 0 })
+	checkSelection(t, "generic", generic, func(r freq.Row[string]) bool { return len(r.Item)%2 == 0 })
+	checkSelection(t, "signed", signed, func(r freq.Row[int64]) bool { return r.Item%3 != 0 })
+}
+
+func checkSelection[T cmp.Ordered](t *testing.T, name string, src freq.Queryable[T], pred func(freq.Row[T]) bool) {
+	t.Helper()
+	var all []freq.Row[T]
+	estimates := map[int64]bool{}
+	for _, r := range src.All() {
+		all = append(all, r)
+		estimates[r.Estimate] = true
+	}
+	n := len(all)
+	if n < 100 || len(estimates) > n/4 {
+		t.Fatalf("%s: %d rows with %d distinct estimates: too few ties to test", name, n, len(estimates))
+	}
+	slices.SortFunc(all, func(a, b freq.Row[T]) int { return cmp.Compare(a.Estimate, b.Estimate) })
+	threshold := all[n/2].Estimate
+
+	byItem := func(a, b freq.Row[T]) int { return cmp.Compare(a.Item, b.Item) }
+	band := func(a, b freq.Row[T]) int {
+		return cmp.Compare(b.UpperBound-b.LowerBound, a.UpperBound-a.LowerBound)
+	}
+	orders := []struct {
+		name string
+		set  func(*freq.Query[T]) *freq.Query[T]
+		cmp  func(a, b freq.Row[T]) int // nil: source order
+	}{
+		{"desc", func(q *freq.Query[T]) *freq.Query[T] { return q.OrderBy(freq.OrderEstimateDesc) },
+			func(a, b freq.Row[T]) int { return cmp.Compare(b.Estimate, a.Estimate) }},
+		{"asc", func(q *freq.Query[T]) *freq.Query[T] { return q.OrderBy(freq.OrderEstimateAsc) },
+			func(a, b freq.Row[T]) int { return cmp.Compare(a.Estimate, b.Estimate) }},
+		{"item", func(q *freq.Query[T]) *freq.Query[T] { return q.OrderBy(freq.OrderItem) },
+			func(a, b freq.Row[T]) int { return 0 }},
+		{"func", func(q *freq.Query[T]) *freq.Query[T] { return q.OrderByFunc(band) }, band},
+		{"none", func(q *freq.Query[T]) *freq.Query[T] { return q.OrderBy(freq.OrderNone) }, nil},
+	}
+	filters := []struct {
+		name string
+		set  func(*freq.Query[T]) *freq.Query[T]
+		keep func(freq.Row[T]) bool
+	}{
+		{"all", func(q *freq.Query[T]) *freq.Query[T] { return q }, func(freq.Row[T]) bool { return true }},
+		{"where", func(q *freq.Query[T]) *freq.Query[T] { return q.Where(threshold) },
+			func(r freq.Row[T]) bool { return r.UpperBound > threshold }},
+		{"wherefunc", func(q *freq.Query[T]) *freq.Query[T] { return q.WhereFunc(pred) }, pred},
+	}
+	for _, o := range orders {
+		for _, f := range filters {
+			var matched []freq.Row[T]
+			for _, r := range all {
+				if f.keep(r) {
+					matched = append(matched, r)
+				}
+			}
+			if o.cmp != nil {
+				slices.SortFunc(matched, func(a, b freq.Row[T]) int {
+					if c := o.cmp(a, b); c != 0 {
+						return c
+					}
+					return byItem(a, b)
+				})
+			}
+			for _, off := range []int{0, 1, 7, n - 1, n, n + 5} {
+				for _, lim := range []int{0, 1, 64, n, n + 1, math.MaxInt} {
+					want := matched[min(off, len(matched)):]
+					want = want[:min(lim, len(want))]
+					got := f.set(o.set(freq.From(src))).Offset(off).Limit(lim).Collect()
+					if o.cmp != nil {
+						if !slices.Equal(got, want) {
+							t.Errorf("%s %s/%s Offset(%d).Limit(%d): got %d rows %v, want %d rows %v",
+								name, o.name, f.name, off, lim, len(got), got, len(want), want)
+						}
+						continue
+					}
+					// Source order is unspecified: the page must be as long
+					// as the reference's and hold distinct matching rows.
+					seen := map[T]bool{}
+					for _, r := range got {
+						if seen[r.Item] || !f.keep(r) {
+							t.Errorf("%s none/%s Offset(%d).Limit(%d): stray or repeated row %v", name, f.name, off, lim, r)
+						}
+						seen[r.Item] = true
+					}
+					if len(got) != len(want) {
+						t.Errorf("%s none/%s Offset(%d).Limit(%d): %d rows, want %d", name, f.name, off, lim, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTopKAllocatesOnlyTheSelection checks that a limited query holds
+// only the rows it may return: TopK(64) on a full 16k-counter sketch
+// allocates a few kilobytes, not a copy of every counter.
+func TestTopKAllocatesOnlyTheSelection(t *testing.T) {
+	sk, err := freq.New[int64](16384, freq.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range int64(16384) {
+		if err := sk.Update(i*7919, 1+i%5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sk.NumActive() != 16384 {
+		t.Fatalf("sketch holds %d counters, want 16384", sk.NumActive())
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if rows := sk.TopK(64); len(rows) != 64 {
+			t.Fatalf("TopK(64) returned %d rows", len(rows))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 64<<10 {
+		t.Errorf("TopK(64) over %d counters allocated %d bytes per call, want under 64 KiB", sk.NumActive(), perCall)
 	}
 }

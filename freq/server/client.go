@@ -9,6 +9,7 @@ import (
 	"io"
 	"iter"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"repro/freq"
 	"repro/freq/tenant"
+	"repro/internal/hashmap"
 )
 
 // Client speaks the line protocol to a Server. It is generic over the
@@ -544,6 +546,46 @@ func (c *clientConn) readLine() (string, error) {
 	return line, nil
 }
 
+// Caps on the counts a peer's MULTI and SNAP reply headers announce. No
+// summary holds more counters than the largest table's load-factor
+// capacity, plus the one a full table holds until it decrements, and a
+// snapshot encodes each counter in 16 bytes after a 40-byte header. A
+// count past these caps can only come from a broken peer.
+const (
+	maxReplyRows = int(hashmap.LoadFactor*(1<<hashmap.MaxLgLength)) + 1
+	maxSnapBytes = 40 + 16*maxReplyRows
+)
+
+// replyCount parses the count in a "MULTI <n>" or "SNAP <n>" reply
+// header. A count outside [0, limit] leaves the rest of the reply
+// unreadable, so it is a transport error.
+func replyCount(header, verb string, limit int) (int, error) {
+	var n int
+	if _, err := fmt.Sscanf(header, verb+" %d", &n); err != nil {
+		return 0, fmt.Errorf("server: bad %s header %q", strings.ToLower(verb), header)
+	}
+	if n < 0 || n > limit {
+		return 0, transportErr(fmt.Errorf("client: %s count %d outside [0, %d]", verb, n, limit))
+	}
+	return n, nil
+}
+
+// readBlob reads the n payload bytes of a SNAP reply. n is the peer's
+// claim, so the buffer grows as bytes arrive, doubling from 64 KiB,
+// instead of being sized from n up front: a peer that stops short makes
+// the client allocate at most about twice what it sent.
+func (c *clientConn) readBlob(n int) ([]byte, error) {
+	var blob []byte
+	for have := 0; have < n; have = len(blob) {
+		blob = slices.Grow(blob, min(n-have, max(have, 64<<10)))
+		blob = blob[:min(n, cap(blob))]
+		if err := c.readBlobInto(blob[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return blob, nil
+}
+
 // readBlobInto fills blob with reply payload bytes — the body of a SNAP
 // response, which in binary framing rides in the same frame as its
 // header line.
@@ -820,11 +862,11 @@ func (c *Client[T]) Query(item T) (est, lb, ub int64, err error) {
 
 // readMulti parses a MULTI block into rows.
 func (c *Client[T]) readMulti(header string) ([]freq.Row[T], error) {
-	var n int
-	if _, err := fmt.Sscanf(header, "MULTI %d", &n); err != nil {
-		return nil, fmt.Errorf("server: bad multi header %q", header)
+	n, err := replyCount(header, "MULTI", maxReplyRows)
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]freq.Row[T], 0, n)
+	var rows []freq.Row[T]
 	for i := 0; i < n; i++ {
 		line, err := c.readLine()
 		if err != nil {
@@ -985,12 +1027,12 @@ func (c *Client[T]) Snapshot() (*freq.Sketch[T], error) {
 
 // readSnapshot consumes a "SNAP <bytes>" header's blob and decodes it.
 func (c *Client[T]) readSnapshot(header string) (*freq.Sketch[T], error) {
-	var n int
-	if _, err := fmt.Sscanf(header, "SNAP %d", &n); err != nil {
-		return nil, fmt.Errorf("server: bad snapshot header %q", header)
+	n, err := replyCount(header, "SNAP", maxSnapBytes)
+	if err != nil {
+		return nil, err
 	}
-	blob := make([]byte, n)
-	if err := c.readBlobInto(blob); err != nil {
+	blob, err := c.readBlob(n)
+	if err != nil {
 		return nil, err
 	}
 	c.lastSnapBytes = n

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -413,4 +416,80 @@ func TestFaultInjectedErrorClassifiesAsTransport(t *testing.T) {
 	if !isTransport(te) {
 		t.Fatal("wrapped injected fault must classify as transport")
 	}
+}
+
+// TestFaultBrokenPeerCountsAreTransportErrors answers a client's read
+// from a fake peer over net.Pipe with a reply header whose count is
+// negative, past any summary's size, or large and never followed by
+// its bytes, then hangs up. In both framings the client must return a
+// transport error, never panic, and never allocate what the peer
+// claimed.
+func TestFaultBrokenPeerCountsAreTransportErrors(t *testing.T) {
+	cases := []struct {
+		reply string
+		read  func(c *Client[int64]) error
+	}{
+		{"SNAP -5\n", snapshotErr},
+		{"MULTI -1\n", topKErr},
+		{"SNAP 1099511627776\n", snapshotErr},
+		{"MULTI 1099511627776\n", topKErr},
+		{"SNAP 536870912\n", snapshotErr},
+		{"MULTI 50000000\n", topKErr},
+	}
+	for _, framing := range framings[:2] {
+		bin := framing == "bin2"
+		for _, tc := range cases {
+			t.Run(framing+"/"+strings.TrimSpace(tc.reply), func(t *testing.T) {
+				clientEnd, peerEnd := net.Pipe()
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					defer peerEnd.Close()
+					fakePeerReply(peerEnd, bin, tc.reply)
+				}()
+				c := NewClient[int64](clientEnd)
+				if bin {
+					c.bin, c.binVer = true, 2
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := tc.read(c)
+				runtime.ReadMemStats(&after)
+				c.Close()
+				<-done
+				if !isTransport(err) {
+					t.Fatalf("error %v, want a transport error", err)
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+					t.Errorf("client allocated %d bytes on a reply the peer never sent", grew)
+				}
+			})
+		}
+	}
+}
+
+func snapshotErr(c *Client[int64]) error { _, err := c.Snapshot(); return err }
+
+func topKErr(c *Client[int64]) error { _, err := c.TopK(5); return err }
+
+// fakePeerReply reads one command from conn, text line or binary frame,
+// and answers it with reply, framed to match.
+func fakePeerReply(conn net.Conn, bin bool, reply string) {
+	r := bufio.NewReader(conn)
+	if !bin {
+		if _, err := r.ReadString('\n'); err == nil {
+			io.WriteString(conn, reply)
+		}
+		return
+	}
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return
+	}
+	if _, err := io.CopyN(io.Discard, r, int64(binary.LittleEndian.Uint32(hdr[1:]))); err != nil {
+		return
+	}
+	hdr[0] = opReply
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(reply)))
+	conn.Write(append(hdr[:], reply...))
 }

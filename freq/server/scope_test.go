@@ -4,6 +4,8 @@
 package server
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -181,5 +183,61 @@ func TestScopedHandlesCompose(t *testing.T) {
 	}
 	if a.Window(1).clientConn != c.clientConn {
 		t.Fatal("a derived handle does not share its parent's connection")
+	}
+}
+
+// TestHostileTopKCountListsEveryRow sends TOPK counts far past any
+// summary's size, in the live, window and tenant scopes. Each reply
+// must list every row, the same reply as TOPK of the row count, and the
+// connection must stay usable: a count from the wire never sizes an
+// allocation.
+func TestHostileTopKCountListsEveryRow(t *testing.T) {
+	const distinct = 300
+	items, weights := make([]int64, distinct), make([]int64, distinct)
+	for i := range items {
+		items[i], weights[i] = int64(i), int64(1+i%7)
+	}
+	for _, framing := range framings[:2] {
+		t.Run(framing, func(t *testing.T) {
+			srv := startScopedServer(t)
+			c := dialFraming(t, srv, framing)
+			a, err := c.Tenant("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.UpdateBatch(items, weights); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.UpdateBatch(items, weights); err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				cmd string
+				h   *Client[int64]
+				n   int
+			}{
+				{"TOPK", c, math.MaxInt},
+				{"WIN 1 TOPK", c.Window(1), 1 << 31},
+				{"TENANT a TOPK", a, math.MaxInt},
+			} {
+				got, err := tc.h.TopK(tc.n)
+				if err != nil {
+					t.Fatalf("%s %d: %v", tc.cmd, tc.n, err)
+				}
+				want, err := tc.h.TopK(distinct)
+				if err != nil || len(want) != distinct {
+					t.Fatalf("%s %d = %d rows, %v; want %d", tc.cmd, distinct, len(want), err, distinct)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s %d differs from %s %d:\n%v\n%v", tc.cmd, tc.n, tc.cmd, distinct, got, want)
+				}
+			}
+			if err := c.Update(7, 1); err != nil {
+				t.Fatal(err)
+			}
+			if est, _, _, err := c.Query(7); err != nil || est != 2 {
+				t.Fatalf("Query(7) after the hostile reads = %d, %v; want 2", est, err)
+			}
+		})
 	}
 }

@@ -124,7 +124,7 @@ func parseHeader(data []byte) (serialHeader, error) {
 	// The quantile check is phrased positively so NaN (which fails every
 	// comparison) is rejected rather than slipping through to panic in
 	// the first decrement's quantile selection.
-	if h.sampleSize < 1 || !(h.quantile >= 0 && h.quantile < 1) ||
+	if h.sampleSize < 1 || h.sampleSize > MaxSampleSize || !(h.quantile >= 0 && h.quantile < 1) ||
 		h.streamN < 0 || h.offset < 0 || h.numActive < 0 {
 		return h, fmt.Errorf("%w: invalid header fields", ErrCorrupt)
 	}

@@ -196,6 +196,34 @@ func TestDeserializeCorrupt(t *testing.T) {
 	}
 }
 
+// TestDeserializeRejectsHugeSampleSize pins the sample-size cap on
+// decode. The sample buffer is allocated at the header's size, so
+// before the cap the 40-byte blob below (the FuzzSketchReadFrom
+// crasher, ℓ = 0x6f000000) asked for ~14 GiB, and a 56-byte one with
+// ℓ = 2^24 decoded after allocating 128 MiB.
+func TestDeserializeRejectsHugeSampleSize(t *testing.T) {
+	crasher := make([]byte, headerBytes)
+	copy(crasher, "1SIF\x01\x00\x07\x00\x00\x00\x00\x6f")
+	s := mustNew(t, Options{MaxCounters: 64, Seed: 7})
+	_ = s.Update(42, 7)
+	oneCounter := s.Serialize()
+	binary.LittleEndian.PutUint32(oneCounter[8:], 1<<24)
+	for name, blob := range map[string][]byte{"crasher": crasher, "2^24": oneCounter} {
+		if _, err := Deserialize(blob); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s (%d bytes): Deserialize error %v, want ErrCorrupt", name, len(blob), err)
+		}
+	}
+
+	big := mustNew(t, Options{MaxCounters: 64, SampleSize: MaxSampleSize, Seed: 8})
+	_ = big.Update(42, 7)
+	if got := roundTrip(t, big).SampleSize(); got != MaxSampleSize {
+		t.Errorf("round-tripped SampleSize %d, want %d", got, MaxSampleSize)
+	}
+	if _, err := NewWithOptions(Options{MaxCounters: 64, SampleSize: MaxSampleSize + 1}); err == nil {
+		t.Errorf("NewWithOptions accepted SampleSize %d", MaxSampleSize+1)
+	}
+}
+
 func TestReadFromErrors(t *testing.T) {
 	if _, err := ReadFrom(bytes.NewReader(nil)); err == nil {
 		t.Error("ReadFrom on empty reader succeeded")

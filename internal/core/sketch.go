@@ -28,6 +28,11 @@ import (
 // weighted length up to 1e20.
 const DefaultSampleSize = 1024
 
+// MaxSampleSize caps ℓ. The sample buffer is allocated at full size, so
+// a sample size read from outside the process (a snapshot header) must
+// be bounded; 2^16 is 64 times the §2.3.2 choice.
+const MaxSampleSize = 1 << 16
+
 // DefaultQuantile is the sample quantile used for the decrement value.
 // 0.5 (the sample median) is SMED, the paper's headline configuration;
 // 0 (the sample minimum) is SMIN (§4).
@@ -75,7 +80,7 @@ type Options struct {
 	// selects DefaultQuantile (0.5, SMED). Use QuantileMin to request the
 	// sample minimum (SMIN).
 	Quantile float64
-	// SampleSize is ℓ; 0 means DefaultSampleSize.
+	// SampleSize is ℓ, at most MaxSampleSize; 0 means DefaultSampleSize.
 	SampleSize int
 	// Seed fixes the hash seed and sampling PRNG for reproducibility.
 	// When zero, a per-sketch random seed is drawn, which also makes
@@ -163,8 +168,8 @@ func NewWithOptions(opts Options) (*Sketch, error) {
 	if sampleSize == 0 {
 		sampleSize = DefaultSampleSize
 	}
-	if sampleSize < 1 {
-		return nil, fmt.Errorf("core: SampleSize %d < 1", sampleSize)
+	if sampleSize < 1 || sampleSize > MaxSampleSize {
+		return nil, fmt.Errorf("core: SampleSize %d outside [1, %d]", sampleSize, MaxSampleSize)
 	}
 	seed := opts.Seed
 	if seed == 0 {

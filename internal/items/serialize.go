@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/core"
 )
 
 // Serialization for the generic sketch follows the DataSketches
@@ -150,7 +152,7 @@ func Deserialize[T comparable](data []byte, serde SerDe[T]) (*Sketch[T], error) 
 	streamN := int64(binary.LittleEndian.Uint64(data[21:]))
 	offset := int64(binary.LittleEndian.Uint64(data[29:]))
 	numActive := int(binary.LittleEndian.Uint32(data[37:]))
-	if k < 1 || quantile < 0 || quantile >= 1 || sampleSize < 1 ||
+	if k < 1 || quantile < 0 || quantile >= 1 || sampleSize < 1 || sampleSize > core.MaxSampleSize ||
 		streamN < 0 || offset < 0 || numActive < 0 || numActive > k+1 {
 		return nil, fmt.Errorf("%w: invalid header", ErrCorrupt)
 	}

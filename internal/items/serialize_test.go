@@ -102,6 +102,9 @@ func TestDeserializeCorrupt(t *testing.T) {
 		"badcount": mutate(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[37:], 1<<30)
 		}),
+		"huge sample size": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[17:], 0x6f000000)
+		}),
 		"huge item length": mutate(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[41:], 1<<30)
 		}),
