@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -218,36 +219,49 @@ func TestBinaryFrameErrors(t *testing.T) {
 // TestBinaryLoopZeroAlloc is the acceptance gate on the server's frame
 // decode loop: steady-state pairs-frame ingest performs zero heap
 // allocations per frame. The loop runs against an in-memory stream with
-// a warmed connection (buffers sized, item set bounded so the sketch
-// stops growing).
+// a warmed connection (buffers sized, sketch tables at full size). With
+// 256 distinct items the 4096 counters never fill; with 16384 every
+// stream makes the shards decrement (Algorithm 4's DecrementCounters),
+// and the purge must not allocate either.
 func TestBinaryLoopZeroAlloc(t *testing.T) {
-	srv, err := New(Config{MaxCounters: 4096, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writer, err := freq.NewWriter(srv.sketch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const npairs = 512
-	items := make([]int64, npairs)
-	weights := make([]int64, npairs)
-	for i := range items {
-		items[i] = int64(i % 256)
-		weights[i] = int64(1 + i%5)
-	}
-	stream := bytes.Repeat(pairsFrame(items, weights), 8)
-	br := bytes.NewReader(stream)
-	nw := bufio.NewWriter(io.Discard)
-	c := &conn{srv: srv, st: &connState{}, r: bufio.NewReaderSize(br, 64*1024), nw: nw, w: nw, writer: writer, bin: true}
-	run := func() {
-		br.Reset(stream)
-		c.r.Reset(br)
-		c.binaryLoop()
-	}
-	run() // warm: pairBuf, okBuf, sketch counters all reach steady state
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Fatalf("binary decode loop allocates %.1f times per stream of 8 frames, want 0", allocs)
+	const counters, npairs, nframes = 4096, 512, 32
+	for _, distinct := range []int{256, 16384} {
+		t.Run(fmt.Sprintf("distinct=%d", distinct), func(t *testing.T) {
+			srv, err := New(Config{MaxCounters: counters, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writer, err := freq.NewWriter(srv.sketch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stream []byte
+			items := make([]int64, npairs)
+			weights := make([]int64, npairs)
+			for f := range nframes {
+				for i := range items {
+					items[i] = int64((f*npairs + i) % distinct)
+					weights[i] = int64(1 + i%5)
+				}
+				stream = append(stream, pairsFrame(items, weights)...)
+			}
+			br := bytes.NewReader(stream)
+			nw := bufio.NewWriter(io.Discard)
+			c := &conn{srv: srv, st: &connState{}, r: bufio.NewReaderSize(br, 64*1024), nw: nw, w: nw, writer: writer, bin: true}
+			run := func() {
+				br.Reset(stream)
+				c.r.Reset(br)
+				c.binaryLoop()
+			}
+			run() // warm: pairBuf, okBuf, sketch counters all reach steady state
+			offset := srv.sketch.MaximumError()
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Fatalf("binary decode loop allocates %.1f times per stream of %d frames, want 0", allocs, nframes)
+			}
+			if decremented := srv.sketch.MaximumError() > offset; decremented != (distinct > counters) {
+				t.Fatalf("%d distinct items into %d counters: decremented = %v", distinct, counters, decremented)
+			}
+		})
 	}
 }
 

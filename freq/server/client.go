@@ -105,7 +105,7 @@ type clientConn struct {
 	// reconnect re-negotiates it.
 	wantBin bool
 	// frame is the unconsumed tail of the current reply frame's payload;
-	// readLine and readBlob drain it before fetching the next frame.
+	// readLine and readBlobInto drain it before fetching the next frame.
 	frame []byte
 	// cmdBuf is the reusable request encoding buffer (command lines and
 	// pairs payloads alike).
@@ -514,12 +514,12 @@ func (c *clientConn) readFrame() error {
 	if n > MaxFrameBytes {
 		return transportErr(fmt.Errorf("client: reply frame length %d exceeds cap %d", n, MaxFrameBytes))
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return transportErr(err)
-	}
+	buf, err := readGrowing(int(n), func(b []byte) error {
+		_, err := io.ReadFull(c.r, b)
+		return transportErrOrNil(err)
+	})
 	c.frame = buf
-	return nil
+	return err
 }
 
 // readLine returns the next reply line including its trailing newline —
@@ -570,16 +570,17 @@ func replyCount(header, verb string, limit int) (int, error) {
 	return n, nil
 }
 
-// readBlob reads the n payload bytes of a SNAP reply. n is the peer's
-// claim, so the buffer grows as bytes arrive, doubling from 64 KiB,
-// instead of being sized from n up front: a peer that stops short makes
-// the client allocate at most about twice what it sent.
-func (c *clientConn) readBlob(n int) ([]byte, error) {
+// readGrowing reads the n bytes a peer announced — a reply frame's
+// payload or a SNAP reply's blob — through fill. n is the peer's claim,
+// so the buffer grows as bytes arrive, doubling from 64 KiB, instead of
+// being sized from n up front: a peer that stops short makes the client
+// allocate at most about twice what it sent.
+func readGrowing(n int, fill func([]byte) error) ([]byte, error) {
 	var blob []byte
 	for have := 0; have < n; have = len(blob) {
 		blob = slices.Grow(blob, min(n-have, max(have, 64<<10)))
 		blob = blob[:min(n, cap(blob))]
-		if err := c.readBlobInto(blob[have:]); err != nil {
+		if err := fill(blob[have:]); err != nil {
 			return nil, err
 		}
 	}
@@ -1031,7 +1032,7 @@ func (c *Client[T]) readSnapshot(header string) (*freq.Sketch[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	blob, err := c.readBlob(n)
+	blob, err := readGrowing(n, c.readBlobInto)
 	if err != nil {
 		return nil, err
 	}

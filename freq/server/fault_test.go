@@ -422,30 +422,42 @@ func TestFaultInjectedErrorClassifiesAsTransport(t *testing.T) {
 // from a fake peer over net.Pipe with a reply header whose count is
 // negative, past any summary's size, or large and never followed by
 // its bytes, then hangs up. In both framings the client must return a
-// transport error, never panic, and never allocate what the peer
-// claimed.
+// transport error, never panic, and allocate under 1 MiB whatever the
+// peer claimed.
 func TestFaultBrokenPeerCountsAreTransportErrors(t *testing.T) {
 	cases := []struct {
 		reply string
-		read  func(c *Client[int64]) error
+		// frameLen, when set, is the payload length the binary peer's
+		// reply frame header announces instead of len(reply). Text
+		// framing has no frame header, so such a case is binary only.
+		frameLen uint32
+		read     func(c *Client[int64]) error
 	}{
-		{"SNAP -5\n", snapshotErr},
-		{"MULTI -1\n", topKErr},
-		{"SNAP 1099511627776\n", snapshotErr},
-		{"MULTI 1099511627776\n", topKErr},
-		{"SNAP 536870912\n", snapshotErr},
-		{"MULTI 50000000\n", topKErr},
+		{"SNAP -5\n", 0, snapshotErr},
+		{"MULTI -1\n", 0, topKErr},
+		{"SNAP 1099511627776\n", 0, snapshotErr},
+		{"MULTI 1099511627776\n", 0, topKErr},
+		{"SNAP 536870912\n", 0, snapshotErr},
+		{"MULTI 50000000\n", 0, topKErr},
+		{"", MaxFrameBytes, topKErr},
 	}
 	for _, framing := range framings[:2] {
 		bin := framing == "bin2"
 		for _, tc := range cases {
-			t.Run(framing+"/"+strings.TrimSpace(tc.reply), func(t *testing.T) {
+			name := strings.TrimSpace(tc.reply)
+			if tc.frameLen != 0 {
+				if !bin {
+					continue
+				}
+				name = fmt.Sprintf("frame %d", tc.frameLen)
+			}
+			t.Run(framing+"/"+name, func(t *testing.T) {
 				clientEnd, peerEnd := net.Pipe()
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
 					defer peerEnd.Close()
-					fakePeerReply(peerEnd, bin, tc.reply)
+					fakePeerReply(peerEnd, bin, tc.reply, tc.frameLen)
 				}()
 				c := NewClient[int64](clientEnd)
 				if bin {
@@ -460,7 +472,7 @@ func TestFaultBrokenPeerCountsAreTransportErrors(t *testing.T) {
 				if !isTransport(err) {
 					t.Fatalf("error %v, want a transport error", err)
 				}
-				if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+				if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 					t.Errorf("client allocated %d bytes on a reply the peer never sent", grew)
 				}
 			})
@@ -473,8 +485,9 @@ func snapshotErr(c *Client[int64]) error { _, err := c.Snapshot(); return err }
 func topKErr(c *Client[int64]) error { _, err := c.TopK(5); return err }
 
 // fakePeerReply reads one command from conn, text line or binary frame,
-// and answers it with reply, framed to match.
-func fakePeerReply(conn net.Conn, bin bool, reply string) {
+// and answers it with reply, framed to match. A binary reply frame's
+// header announces frameLen bytes if it is set, else len(reply).
+func fakePeerReply(conn net.Conn, bin bool, reply string, frameLen uint32) {
 	r := bufio.NewReader(conn)
 	if !bin {
 		if _, err := r.ReadString('\n'); err == nil {
@@ -489,7 +502,10 @@ func fakePeerReply(conn net.Conn, bin bool, reply string) {
 	if _, err := io.CopyN(io.Discard, r, int64(binary.LittleEndian.Uint32(hdr[1:]))); err != nil {
 		return
 	}
+	if frameLen == 0 {
+		frameLen = uint32(len(reply))
+	}
 	hdr[0] = opReply
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(reply)))
+	binary.LittleEndian.PutUint32(hdr[1:], frameLen)
 	conn.Write(append(hdr[:], reply...))
 }

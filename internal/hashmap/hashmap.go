@@ -7,9 +7,10 @@
 // k = loadFactor * L (the paper uses L ≈ 4k/3, i.e. a 3/4 load factor).
 // Beyond ordinary lookup/adjust, the table supports the operation the
 // frequent-items algorithms live on: "decrement every value by c* and purge
-// the non-positive counters", performed fully in place with backward-shift
-// run compaction, so the summary never allocates during a purge — the first
-// of the two Algorithm-3 disadvantages §2.2 sets out to remove.
+// the non-positive counters", done in place by one forward pass that moves
+// each survivor at most once, into the layout per-key backward-shift
+// deletion would leave, so a purge never allocates — the first of the two
+// Algorithm-3 disadvantages §2.2 sets out to remove.
 package hashmap
 
 import (
@@ -514,8 +515,7 @@ func (m *Map) deleteSlot(free int) {
 	}
 }
 
-// AdjustAllValuesBy adds delta to every assigned counter. Combined with
-// KeepOnlyPositiveCounts this is the DecrementCounters body of Algorithm 4.
+// AdjustAllValuesBy adds delta to every assigned counter.
 //
 //freq:noalloc
 func (m *Map) AdjustAllValuesBy(delta int64) {
@@ -526,41 +526,21 @@ func (m *Map) AdjustAllValuesBy(delta int64) {
 	}
 }
 
-// KeepOnlyPositiveCounts deletes every counter whose value is <= 0,
-// compacting probe runs in place (§2.3.3: work from within each run,
-// shifting keys and values so future lookups behave correctly).
+// DecrementAndPurge is the DecrementCounters body of Algorithm 4: it
+// subtracts dec from every counter and removes those left <= 0, compacting
+// each probe run in one forward pass (§2.3.3). The scan starts just past an
+// empty slot, so no run wraps across its origin. A counter <= dec is
+// emptied and becomes the newest hole. A survivor is decremented; if its
+// home lies at or before the newest hole it moves once, to the first empty
+// slot at or after its home, and its old slot becomes the newest hole.
+// Each slot is read once and a move scans at most the survivor's probe
+// distance, so a purge is O(L) and uses no memory outside the table.
 //
-// The scan starts just past an empty slot so that no probe run wraps
-// across the scan origin; backward shifts therefore never move an entry
-// into territory the scan has already passed, and one pass suffices.
-//
-//freq:noalloc
-func (m *Map) KeepOnlyPositiveCounts() {
-	if m.numActive == 0 {
-		return
-	}
-	start := 0
-	for m.states[start] != 0 {
-		start++ // an empty slot exists because load < 1 is enforced
-	}
-	lenMask := int(m.mask)
-	for off := 1; off <= m.length; off++ {
-		i := (start + off) & lenMask
-		for m.states[i] != 0 && m.values[i] <= 0 {
-			m.deleteSlot(i)
-		}
-	}
-}
-
-// DecrementAndPurge subtracts dec from every counter and removes the
-// counters that become non-positive, in place. It fuses
-// AdjustAllValuesBy(-dec) and KeepOnlyPositiveCounts into a single table
-// scan: at each occupied slot the counter either survives (> dec, so
-// decrement it) or is deleted before ever being decremented. Entries a
-// deletion shifts backward land at or after the scan position and are
-// processed there, so every counter is decremented or deleted exactly
-// once — the same scan-from-an-empty-slot argument KeepOnlyPositiveCounts
-// relies on.
+// The pass re-inserts the survivors in scan order, so each lands where it
+// would be had the purged keys never been inserted — the layout deleting
+// them one at a time by backward shift (Knuth, TAOCP vol. 3 §6.4,
+// Algorithm R) leaves too. Later samples, estimates and serialized bytes
+// therefore do not depend on which of the two ran.
 //
 //freq:noalloc
 func (m *Map) DecrementAndPurge(dec int64) {
@@ -572,15 +552,33 @@ func (m *Map) DecrementAndPurge(dec int64) {
 		start++ // an empty slot exists because load < 1 is enforced
 	}
 	lenMask := int(m.mask)
+	hole := 0 // offset from start of the newest empty slot behind the scan
 	for off := 1; off <= m.length; off++ {
 		i := (start + off) & lenMask
-		for m.states[i] != 0 {
-			if m.values[i] > dec {
-				m.values[i] -= dec
-				break
-			}
-			m.deleteSlot(i)
+		s := m.states[i]
+		if s == 0 {
+			hole = off
+			continue
 		}
+		if m.values[i] <= dec {
+			m.states[i] = 0
+			m.numActive--
+			hole = off
+			continue
+		}
+		m.values[i] -= dec
+		home := off - int(s) + 1
+		if home > hole {
+			continue
+		}
+		to := home
+		for m.states[(start+to)&lenMask] != 0 {
+			to++
+		}
+		j := (start + to) & lenMask
+		m.keys[j], m.values[j], m.states[j] = m.keys[i], m.values[i], uint16(to-home+1)
+		m.states[i] = 0
+		hole = off
 	}
 }
 

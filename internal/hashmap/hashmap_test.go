@@ -204,12 +204,14 @@ func TestPurgeAtHighLoadManySeeds(t *testing.T) {
 	}
 }
 
+// TestKeepOnlyPositiveRemovesExactly purges at 0, which keeps exactly
+// the positive counters and leaves their values as they were.
 func TestKeepOnlyPositiveRemovesExactly(t *testing.T) {
 	m := mustNew(t, 6)
 	for i := int64(0); i < 40; i++ {
 		m.Adjust(i, i-19) // values -19..20: 20 non-positive (0 counts as non-positive)
 	}
-	m.KeepOnlyPositiveCounts()
+	m.DecrementAndPurge(0)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -472,17 +474,4 @@ func BenchmarkGetHit(b *testing.B) {
 		sink += v
 	}
 	_ = sink
-}
-
-func BenchmarkDecrementAndPurge(b *testing.B) {
-	m, _ := New(14, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for k := int64(0); m.NumActive() < m.Capacity(); k++ {
-			m.Adjust(k+int64(i)<<20, 2)
-		}
-		b.StartTimer()
-		m.DecrementAndPurge(1)
-	}
 }
