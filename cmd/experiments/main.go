@@ -1,8 +1,7 @@
 // Command experiments regenerates the paper's evaluation artifacts
 // (Figures 1-4 of §4, the §2.3.3 space accounting, the §1.3 counter-vs-
 // sketch comparison, and the error-guarantee validation) from synthetic
-// workloads. See DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for recorded results.
+// workloads. README's "Reproducing the paper" lists the commands.
 //
 // Usage:
 //
@@ -19,7 +18,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/freq/experiments"
+	"repro/internal/experiments"
 )
 
 func main() {

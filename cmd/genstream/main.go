@@ -1,6 +1,7 @@
-// Command genstream generates the synthetic workloads of DESIGN.md §4 to
-// a file or stdout, in the text or binary stream formats read by cmd/freq
-// and cmd/experiments.
+// Command genstream generates the synthetic workloads of the paper's
+// evaluation (§4: the stand-in for the §4.1 packet trace, Zipf streams,
+// and the §4.2 adversarial stream) to a file or stdout, in the text or
+// binary stream formats read by cmd/freq and cmd/experiments.
 //
 // Usage:
 //

@@ -6,9 +6,9 @@
 //
 // # Public API
 //
-// Everything downstream code needs lives in the freq package tree; this
-// root package re-exports the core names for convenience, so
-// repro.New[uint64](k) and freq.New[uint64](k) are interchangeable.
+// Everything downstream code needs lives in the freq package tree. This
+// root package holds no code of its own: it documents the layout and
+// hosts the cross-package integration and fuzz tests.
 //
 //   - repro/freq — the generic facade: Sketch[T] (fast parallel-array
 //     backend for int64/uint64, map backend for any other comparable
@@ -21,8 +21,6 @@
 //   - repro/freq/server — the summary as a line-protocol TCP service,
 //     plus the Cluster fan-out client that merges a fleet of servers
 //     into one queryable summary.
-//   - repro/freq/experiments — regenerates the paper's evaluation
-//     figures.
 //
 // # Implementation
 //
@@ -30,20 +28,17 @@
 // the facade:
 //
 //   - internal/core — the paper's algorithm (SMED/SMIN and any decrement
-//     quantile), with merging, serialization, heavy-hitter queries, and a
-//     turnstile wrapper.
+//     quantile), with merging, serialization and heavy-hitter queries.
 //   - internal/items — the generic-item (any comparable type) variant.
 //   - internal/sharded — the lock-per-shard concurrent composition.
-//   - internal/mg, internal/spacesaving, internal/sketches,
-//     internal/lossy — every baseline the paper's evaluation compares
-//     against.
+//   - internal/mg, internal/spacesaving, internal/sketches, internal/gk —
+//     every baseline the paper's evaluation compares against.
 //   - internal/hashmap, internal/qselect, internal/xrand — the §2.3.3
 //     data-structure substrate.
 //   - internal/streamgen, internal/exact, internal/experiments —
-//     workload generation, ground truth, and the harness regenerating
-//     Figures 1-4.
-//   - internal/sampling, internal/hhh, internal/entropy — the §5/§6
-//     extensions.
+//     workload generation, ground truth, and the harness behind
+//     cmd/experiments that regenerates Figures 1-4 and the paper's
+//     tables.
 //
 // Binaries are under cmd/ (freq, freqd, genstream, experiments) and
 // runnable examples under examples/.

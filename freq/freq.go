@@ -27,8 +27,10 @@
 // BinaryUnmarshaler and stream via WriteTo / ReadFrom.
 //
 // Subpackages round out the system: freq/stream generates and stores the
-// paper's workloads, freq/server runs the summary as a TCP service, and
-// freq/experiments regenerates the paper's evaluation figures.
+// paper's workloads, freq/server runs the summary as a TCP service,
+// freq/store persists rotated window slots, and freq/tenant serves many
+// independent streams from one registry. cmd/experiments regenerates the
+// paper's evaluation figures.
 package freq
 
 import (

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -374,6 +375,106 @@ func TestSignedGoldenPath(t *testing.T) {
 	}
 	if s.NetWeight() >= s.GrossWeight() {
 		t.Fatalf("net %d should be below gross %d with deletions present", s.NetWeight(), s.GrossWeight())
+	}
+}
+
+// TestSignedExactSmall checks that a stream within the counter budget is
+// answered exactly: signed estimates, both weights, and a zero error.
+func TestSignedExactSmall(t *testing.T) {
+	s, err := freq.NewSigned[int64](64, freq.WithSeed(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Update(1, 100)
+	s.Update(1, -30)
+	s.Update(2, 50)
+	s.Update(2, -50)
+	s.Update(3, 0) // no-op
+	if got := s.Estimate(1); got != 70 {
+		t.Errorf("Estimate(1) = %d, want 70", got)
+	}
+	if got := s.Estimate(2); got != 0 {
+		t.Errorf("Estimate(2) = %d, want 0", got)
+	}
+	if s.NetWeight() != 70 || s.GrossWeight() != 230 {
+		t.Errorf("net %d gross %d, want 70 230", s.NetWeight(), s.GrossWeight())
+	}
+	if s.MaximumError() != 0 {
+		t.Errorf("small stream should be exact, error %d", s.MaximumError())
+	}
+}
+
+// TestSignedBracketsUnderPressure drives a strict-turnstile stream over
+// many items through tiny summaries: the bounds must bracket the signed
+// truth, with error bounded relative to gross weight (§1.3 Note).
+func TestSignedBracketsUnderPressure(t *testing.T) {
+	s, err := freq.NewSigned[int64](32, freq.WithSeed(42), freq.WithoutGrowth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := map[int64]int64{}
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 50_000; i++ {
+		item := int64(rng.Intn(2000))
+		w := int64(rng.Intn(100) + 1)
+		// Delete only up to the current frequency (strict turnstile).
+		if rng.Intn(4) == 0 && truth[item] > 0 {
+			w = min(w, truth[item])
+			s.Update(item, -w)
+			truth[item] -= w
+		} else {
+			s.Update(item, w)
+			truth[item] += w
+		}
+	}
+	maxErr := s.MaximumError()
+	if maxErr == 0 {
+		t.Fatal("no decrements: 2000 items through 32 counters should force evictions")
+	}
+	if bound := 3 * freq.TailBound(32, 0, s.GrossWeight()); float64(maxErr) > bound {
+		t.Errorf("signed max error %d > gross-weight bound %.0f", maxErr, bound)
+	}
+	for item, want := range truth {
+		if lb, ub := s.LowerBound(item), s.UpperBound(item); lb > want || ub < want {
+			t.Fatalf("item %d: [%d, %d] misses %d", item, lb, ub, want)
+		}
+		if d := s.Estimate(item) - want; d > maxErr || d < -maxErr {
+			t.Fatalf("item %d: estimate off truth %d by %d, beyond MaximumError %d", item, want, d, maxErr)
+		}
+	}
+}
+
+// TestSignedMerge checks the component-wise merge and its degenerate
+// cases.
+func TestSignedMerge(t *testing.T) {
+	a, err := freq.NewSigned[int64](64, freq.WithSeed(44))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := freq.NewSigned[int64](64, freq.WithSeed(45))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Update(1, 100)
+	b.Update(1, -40)
+	b.Update(2, 70)
+	a.Merge(b)
+	if got := a.Estimate(1); got != 60 {
+		t.Errorf("merged Estimate(1) = %d, want 60", got)
+	}
+	if got := a.Estimate(2); got != 70 {
+		t.Errorf("merged Estimate(2) = %d, want 70", got)
+	}
+	if a.Merge(nil) != a || a.Merge(a) != a {
+		t.Error("degenerate merges must be no-ops returning the receiver")
+	}
+}
+
+// TestSignedValidation checks that a turnstile summary without counters
+// is refused with ErrTooFewCounters.
+func TestSignedValidation(t *testing.T) {
+	if _, err := freq.NewSigned[int64](0); !errors.Is(err, freq.ErrTooFewCounters) {
+		t.Errorf("NewSigned(0) = %v, want ErrTooFewCounters", err)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Integration tests crossing module boundaries through the public API
 // only: workload generation → stream file IO → sketching → serialization
 // → merging → downstream applications, the full pipeline a deployment
-// would run. (The §5/§6 extension pipeline over the internal research
-// packages lives in internal/hhh.)
+// would run.
 package repro_test
 
 import (

@@ -39,7 +39,7 @@ func (s *Sketch) UpdatePairs(pairs []hashmap.Pair) error {
 	for _, p := range pairs {
 		if p.Value < 0 {
 			//freqvet:ignore noalloc cold rejection path; the batch is refused before any work, allocation is fine
-			return fmt.Errorf("core: negative weight %d in batch (use SignedSketch for deletions)", p.Value)
+			return fmt.Errorf("core: negative weight %d in batch (use freq.Signed for deletions)", p.Value)
 		}
 		total += p.Value
 	}
@@ -77,7 +77,7 @@ func (s *Sketch) UpdateWeightedBatch(items, weights []int64) error {
 	for _, w := range weights {
 		if w < 0 {
 			//freqvet:ignore noalloc cold rejection path; the batch is refused before any work, allocation is fine
-			return fmt.Errorf("core: negative weight %d in batch (use SignedSketch for deletions)", w)
+			return fmt.Errorf("core: negative weight %d in batch (use freq.Signed for deletions)", w)
 		}
 		total += w
 	}

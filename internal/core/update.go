@@ -17,10 +17,10 @@ func (s *Sketch) UpdateOne(item int64) {
 // Update processes the weighted stream update (item, weight). Zero weights
 // are ignored; negative weights return an error (the strict-turnstile
 // recipe of §1.3's Note is to keep two sketches, one per sign — see
-// SignedSketch in this package).
+// freq.Signed).
 func (s *Sketch) Update(item int64, weight int64) error {
 	if weight < 0 {
-		return fmt.Errorf("core: negative weight %d (use SignedSketch for deletions)", weight)
+		return fmt.Errorf("core: negative weight %d (use freq.Signed for deletions)", weight)
 	}
 	if weight == 0 {
 		return nil

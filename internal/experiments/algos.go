@@ -4,8 +4,9 @@
 // (Figure 3), merge-procedure timing (Figure 4), the §2.3.3 space
 // accounting, the §1.3 counter-vs-sketch comparison, and empirical checks
 // of the paper's error guarantees. Each experiment returns typed rows;
-// cmd/experiments prints them and bench_test.go times the same workloads
-// under testing.B.
+// cmd/experiments prints them and figures_bench_test.go times the same
+// workloads under testing.B. calibration_test.go checks the §2.3.2
+// choice of sample size ℓ = 1024.
 package experiments
 
 import (
@@ -119,20 +120,6 @@ func NewMHE(k int) Algo {
 type mheAlgo struct{ *spacesaving.Heap }
 
 func (a mheAlgo) Update(item, weight int64) { a.Heap.Update(item, weight) }
-
-// NewSampledSS constructs the Sivaraman et al. §5 variant with its
-// default eviction sample size.
-func NewSampledSS(k int) Algo {
-	s, err := spacesaving.NewSampled(k, spacesaving.DefaultSampledL, 0xACE)
-	if err != nil {
-		panic(err)
-	}
-	return sampledAlgo{s}
-}
-
-type sampledAlgo struct{ *spacesaving.Sampled }
-
-func (a sampledAlgo) Update(item, weight int64) { a.Sampled.Update(item, weight) }
 
 // FigureMakers are the four algorithms of Figures 1 and 2 in the paper's
 // display order.

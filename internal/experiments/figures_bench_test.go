@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation figures under testing.B,
-// one benchmark family per table/figure (DESIGN.md §3), plus the ablation
-// benches of DESIGN.md §5. Run with:
+// one benchmark family per table/figure of §4, plus ablation benches for
+// choices the paper fixes (sample size, table growth, merge order, load
+// factor). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -168,8 +169,8 @@ func BenchmarkAblationSampleSize(b *testing.B) {
 }
 
 // BenchmarkAblationGrowth compares adaptive table growth against starting
-// at full size (DESIGN.md §5): growth wins when streams may be small,
-// fixed wins a few percent of steady-state throughput.
+// at full size: growth wins when streams may be small, fixed wins a few
+// percent of steady-state throughput.
 func BenchmarkAblationGrowth(b *testing.B) {
 	stream := trace(b)
 	for _, mode := range []struct {

@@ -3,7 +3,7 @@
 // ("quantile algorithms") in the Cormode–Hadjieleftheriou taxonomy that
 // §1.3 reports losing to counter-based algorithms on space, speed, and
 // accuracy. It completes this repository's coverage of that taxonomy
-// (counter-based: core/mg/spacesaving/lossy; sketches: sketches; quantile:
+// (counter-based: core/mg/spacesaving; sketches: sketches; quantile:
 // here), so the "initial experiments" comparison can be run against all
 // three classes.
 //

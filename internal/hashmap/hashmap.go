@@ -515,17 +515,6 @@ func (m *Map) deleteSlot(free int) {
 	}
 }
 
-// AdjustAllValuesBy adds delta to every assigned counter.
-//
-//freq:noalloc
-func (m *Map) AdjustAllValuesBy(delta int64) {
-	for i, s := range m.states {
-		if s != 0 {
-			m.values[i] += delta
-		}
-	}
-}
-
 // DecrementAndPurge is the DecrementCounters body of Algorithm 4: it
 // subtracts dec from every counter and removes those left <= 0, compacting
 // each probe run in one forward pass (§2.3.3). The scan starts just past an

@@ -118,7 +118,7 @@ func TestModelEquivalence(t *testing.T) {
 					t.Fatalf("trial %d op %d: Delete(%d) = %v, model %v", trial, op, key, got, want)
 				}
 				delete(model, key)
-			case r < 90: // decrement and purge
+			default: // decrement and purge
 				dec := int64(rng.Intn(30) + 1)
 				m.DecrementAndPurge(dec)
 				for k, v := range model {
@@ -127,11 +127,6 @@ func TestModelEquivalence(t *testing.T) {
 					} else {
 						model[k] = v
 					}
-				}
-			default: // bulk adjust
-				m.AdjustAllValuesBy(1)
-				for k := range model {
-					model[k]++
 				}
 			}
 			if op%100 == 0 {

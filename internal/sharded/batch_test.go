@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hashmap"
 	"repro/internal/streamgen"
 )
 
@@ -60,7 +61,7 @@ func TestBatchMatchesUpdateLoop(t *testing.T) {
 }
 
 // TestUpdateShardPartitioned checks the pre-partitioned flush path:
-// routing with ShardIndex and applying per shard with UpdateShard is
+// routing with ShardIndex and applying per shard with UpdateShardPairs is
 // equivalent to the self-partitioning batch.
 func TestUpdateShardPartitioned(t *testing.T) {
 	stream, err := streamgen.ZipfStream(1.1, 1<<12, 50_000, 100, 0xF00)
@@ -78,18 +79,16 @@ func TestUpdateShardPartitioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := parted.NumShards()
-	perItems := make([][]int64, n)
-	perWeights := make([][]int64, n)
+	perShard := make([][]hashmap.Pair, n)
 	for _, u := range stream {
 		if err := direct.Update(u.Item, u.Weight); err != nil {
 			t.Fatal(err)
 		}
 		j := parted.ShardIndex(u.Item)
-		perItems[j] = append(perItems[j], u.Item)
-		perWeights[j] = append(perWeights[j], u.Weight)
+		perShard[j] = append(perShard[j], hashmap.Pair{Key: u.Item, Value: u.Weight})
 	}
-	for j := 0; j < n; j++ {
-		if err := parted.UpdateShard(j, perItems[j], perWeights[j]); err != nil {
+	for j, pairs := range perShard {
+		if err := parted.UpdateShardPairs(j, pairs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +100,7 @@ func TestUpdateShardPartitioned(t *testing.T) {
 			t.Fatalf("Estimate(%d) = %d, want %d", u.Item, got, want)
 		}
 	}
-	if err := parted.UpdateShard(n, nil, nil); err == nil {
+	if err := parted.UpdateShardPairs(n, nil); err == nil {
 		t.Error("out-of-range shard index accepted")
 	}
 }

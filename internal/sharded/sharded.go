@@ -147,7 +147,7 @@ func (sk *Sketch) shardFor(item int64) *shard {
 func (sk *Sketch) NumShards() int { return len(sk.shards) }
 
 // ShardIndex returns the index of the shard item routes to, for callers
-// that pre-partition batches (see UpdateShard).
+// that pre-partition batches (see UpdateShardPairs).
 func (sk *Sketch) ShardIndex(item int64) int {
 	return int(xrand.Mix64(uint64(item)^sk.seed) & sk.mask)
 }
@@ -251,39 +251,13 @@ func (sk *Sketch) updateBatch(items, weights []int64) error {
 	return nil
 }
 
-// UpdateShard applies a pre-partitioned batch to shard idx under a single
-// lock acquisition — the flush half of a per-goroutine buffered writer
-// that groups updates with ShardIndex. Every item must route to idx, or
-// point queries for misrouted items will consult the wrong shard. A nil
-// weights slice means all-unit weights; otherwise the slices must have
-// equal length and non-negative weights (all-or-nothing validation, as
-// UpdateWeightedBatch).
-func (sk *Sketch) UpdateShard(idx int, items, weights []int64) error {
-	if idx < 0 || idx >= len(sk.shards) {
-		return fmt.Errorf("sharded: shard index %d outside [0, %d)", idx, len(sk.shards))
-	}
-	sh := &sk.shards[idx]
-	if weights == nil {
-		sh.mu.Lock()
-		sh.epoch.Add(1)
-		sh.s.UpdateBatch(items)
-		sh.mu.Unlock()
-		return nil
-	}
-	// Length and sign validation happen inside the core batch call, which
-	// applies nothing on failure, so no partial batch can land.
-	sh.mu.Lock()
-	sh.epoch.Add(1)
-	err := sh.s.UpdateWeightedBatch(items, weights)
-	sh.mu.Unlock()
-	return err
-}
-
-// UpdateShardPairs is UpdateShard over row-layout pairs — the flush path
-// of a per-goroutine buffered writer, which accumulates (item, weight)
-// side by side and hands the buffer over without re-marshaling. The same
-// routing contract applies: every pair's Key must route to idx per
-// ShardIndex.
+// UpdateShardPairs applies a pre-partitioned batch of (item, weight)
+// pairs to shard idx under a single lock acquisition — the flush path of
+// a per-goroutine buffered writer, which groups updates with ShardIndex
+// and hands its row-layout buffer over without re-marshaling. Every
+// pair's Key must route to idx, or point queries for misrouted items
+// will consult the wrong shard. Weights must be non-negative; the core
+// batch call validates them and applies nothing on failure.
 func (sk *Sketch) UpdateShardPairs(idx int, pairs []hashmap.Pair) error {
 	if idx < 0 || idx >= len(sk.shards) {
 		return fmt.Errorf("sharded: shard index %d outside [0, %d)", idx, len(sk.shards))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hashmap"
 )
 
 // TestViewEpochCache pins the caching contract at the sharded layer:
@@ -47,9 +48,9 @@ func TestViewEpochCache(t *testing.T) {
 		{"Update", func() { _ = sk.Update(1, 1) }},
 		{"UpdateBatch", func() { sk.UpdateBatch([]int64{2, 3}) }},
 		{"UpdateWeightedBatch", func() { _ = sk.UpdateWeightedBatch([]int64{4}, []int64{2}) }},
-		{"UpdateShard", func() {
+		{"UpdateShardPairs", func() {
 			item := int64(5)
-			_ = sk.UpdateShard(sk.ShardIndex(item), []int64{item}, nil)
+			_ = sk.UpdateShardPairs(sk.ShardIndex(item), []hashmap.Pair{{Key: item, Value: 1}})
 		}},
 		{"Reset", sk.Reset},
 	}

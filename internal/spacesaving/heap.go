@@ -1,5 +1,5 @@
 // Package spacesaving implements the Space Saving family (Metwally et al.,
-// Algorithm 2) in the three concrete forms the paper discusses:
+// Algorithm 2) in the concrete forms the paper discusses:
 //
 //   - Heap ("SSH" for unit updates, "MHE" for weighted updates, §1.3.3 and
 //     §1.3.5): a min-heap over the counters plus a hash index, the prior
@@ -9,9 +9,8 @@
 //   - StreamSummary ("SSL", §1.3.3): the doubly-linked bucket list of
 //     Metwally et al., O(1) per unit update but pointer-heavy; it does not
 //     extend to weighted updates (§1.3.5), so it only offers Update(item).
-//   - Sampled (§5, Sivaraman et al.): on eviction, replace the minimum of
-//     ℓ randomly sampled counters instead of the global minimum — constant
-//     time per update with ℓ = O(1), at some cost in error.
+//   - RTUC ("reduce to unit case", §1.3.5): SSL fed Δ unit updates per
+//     weighted update, the semantic reference for the isomorphism tests.
 //
 // Estimates follow Algorithm 2: the counter value when assigned, and the
 // minimum counter value otherwise, which makes every estimate an upper

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/exact"
 	"repro/internal/mg"
-	"repro/internal/streamgen"
 )
 
 // sumCounters returns Σc(i), which for Space Saving equals N exactly —
@@ -295,58 +294,6 @@ func ssHas(h *Heap, item int64) (int64, bool) {
 	return v, found
 }
 
-func TestSampledSS(t *testing.T) {
-	s, err := NewSampled(64, 8, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := exact.New()
-	// Strongly skewed stream: the regime the Sivaraman et al. proposal
-	// targets, where heavy flows dwarf the churn.
-	stream, err := streamgen.ZipfStream(1.8, 1<<10, 50_000, 100, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range stream {
-		s.Update(u.Item, u.Weight)
-		oracle.Update(u.Item, u.Weight)
-	}
-	if s.NumActive() != 64 {
-		t.Errorf("active %d", s.NumActive())
-	}
-	// Σc = N still holds: every unit of weight lands in some counter.
-	if got := sumCounters(s); got != oracle.StreamWeight() {
-		t.Fatalf("Σc %d != N %d", got, oracle.StreamWeight())
-	}
-	// Unlike classic SS, sampled eviction loses the no-underestimate
-	// property (an item re-entering inherits a sampled counter's value,
-	// not the global minimum) — the "larger error" §5 concedes. What must
-	// still hold on a skewed stream: the heaviest items are tracked with
-	// small relative error, since their counters are never the sample
-	// minimum once established.
-	for _, top := range oracle.TopK(5) {
-		est := s.Estimate(top.Item)
-		diff := est - top.Freq
-		if diff < 0 {
-			diff = -diff
-		}
-		if float64(diff) > 0.1*float64(top.Freq) {
-			t.Errorf("top item %d: estimate %d vs truth %d (>10%% off)", top.Item, est, top.Freq)
-		}
-	}
-	if s.Name() != "SampledSS" || s.SizeBytes() <= 0 || s.MaxCounters() != 64 {
-		t.Error("metadata")
-	}
-	if s.StreamWeight() != oracle.StreamWeight() {
-		t.Error("weight")
-	}
-	s.Update(1, 0)
-	s.Update(1, -1)
-	if s.StreamWeight() != oracle.StreamWeight() {
-		t.Error("non-positive weights processed")
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	if _, err := NewHeap(0, 1); err == nil {
 		t.Error("heap k=0")
@@ -356,15 +303,6 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewStreamSummary(0); err == nil {
 		t.Error("ssl k=0")
-	}
-	if _, err := NewSampled(0, 2, 1); err == nil {
-		t.Error("sampled k=0")
-	}
-	if _, err := NewSampled(10, 0, 1); err == nil {
-		t.Error("sampled l=0")
-	}
-	if _, err := NewSampled(1<<30, 2, 1); err == nil {
-		t.Error("sampled huge k")
 	}
 	if _, err := NewRTUC(0); err == nil {
 		t.Error("rtuc k=0")

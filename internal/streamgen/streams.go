@@ -49,7 +49,7 @@ func itemID(rank int, seed uint64) int64 {
 	return int64(xrand.Mix64(uint64(rank)*0x9e3779b97f4a7c15+seed) >> 1)
 }
 
-// Packet-trace substitution (DESIGN.md §4). The CAIDA 2016 capture the
+// Packet-trace substitution (§4.1 dataset). The CAIDA 2016 capture the
 // paper preprocesses has: items = IPv4 source addresses (~1.75M distinct
 // in 126.2M packets), weights = packet sizes in bits, and a heavy-tailed
 // flow-size distribution. The synthetic trace reproduces those properties:
