@@ -224,7 +224,7 @@ func kernels() []kernel {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rows := s.TopK(64); len(rows) == 0 {
+				if rows := s.Query().Limit(64).Collect(); len(rows) == 0 {
 					b.Fatal("no rows")
 				}
 			}
@@ -273,7 +273,7 @@ func kernels() []kernel {
 				b.StopTimer()
 				wd.UpdateOne(synthItem(int64(i), 1<<14))
 				b.StartTimer()
-				if rows := wd.TopK(64); len(rows) == 0 {
+				if rows := wd.Query().Limit(64).Collect(); len(rows) == 0 {
 					b.Fatal("no rows")
 				}
 			}

@@ -218,7 +218,7 @@ func ingestWindowed(k int, algo string, window, rotEvery, rolling, win int, dump
 		interval++
 		if rolling > 0 {
 			fmt.Printf("interval %d (records %d..%d), rolling top %d:\n", interval, lo, hi, rolling)
-			for i, r := range wd.TopK(rolling) {
+			for i, r := range wd.Query().Limit(rolling).Collect() {
 				fmt.Printf("  %2d. item=%-12d est=%d\n", i+1, r.Item, r.Estimate)
 			}
 		}

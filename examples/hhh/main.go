@@ -82,7 +82,7 @@ func (h *hierarchy) query(threshold int64) []result {
 	var results []result
 	discount := make(map[uint64]int64)
 	for i := len(levels) - 1; i >= 0; i-- {
-		rows := h.sketches[i].FrequentItemsAboveThreshold(threshold-1, freq.NoFalseNegatives)
+		rows := h.sketches[i].Query().Where(threshold - 1).WithErrorType(freq.NoFalseNegatives).Collect()
 		var reported []result
 		for _, row := range rows {
 			disc := row.Estimate - discount[row.Item]

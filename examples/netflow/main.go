@@ -45,7 +45,7 @@ func main() {
 
 	fmt.Println("top talkers by traffic volume (bits):")
 	fmt.Printf("%-18s %14s %14s %9s\n", "source", "estimate", "true", "err")
-	for _, row := range sketch.TopK(10) {
+	for _, row := range sketch.Query().Limit(10).Collect() {
 		fmt.Printf("%-18s %14d %14d %9d\n",
 			ipString(uint32(row.Item)), row.Estimate, truth[row.Item], row.Estimate-truth[row.Item])
 	}

@@ -42,7 +42,7 @@ func main() {
 	phi := 0.10
 	threshold := int64(phi * float64(sketch.StreamWeight()))
 	fmt.Printf("\nitems above %.0f%% of N=%d:\n", phi*100, sketch.StreamWeight())
-	for _, row := range sketch.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives) {
+	for _, row := range sketch.Query().Where(threshold).WithErrorType(freq.NoFalseNegatives).Collect() {
 		fmt.Printf("  %v\n", row)
 	}
 

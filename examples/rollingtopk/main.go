@@ -63,7 +63,7 @@ func main() {
 
 		fmt.Printf("second %d (window = last %d intervals, N=%d):\n",
 			sec+1, wd.Intervals(), wd.StreamWeight())
-		for i, r := range wd.TopK(3) {
+		for i, r := range wd.Query().Limit(3).Collect() {
 			fmt.Printf("  %d. flow %-6d ~%d bytes\n", i+1, r.Item, r.Estimate)
 		}
 	}
@@ -71,7 +71,7 @@ func main() {
 	// Window-scoped queries: the same Query/TopK surface over any suffix
 	// of the window. The last 2 intervals no longer contain flow 2002.
 	fmt.Printf("\nlast 2 intervals only: ")
-	for _, r := range wd.Last(2).TopK(2) {
+	for _, r := range wd.Last(2).Query().Limit(2).Collect() {
 		fmt.Printf("flow %d (~%d) ", r.Item, r.Estimate)
 	}
 	fmt.Println()

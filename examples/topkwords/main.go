@@ -62,7 +62,7 @@ func main() {
 		sketch.NumActive(), sketch.StreamWeight(), sketch.MaximumError())
 	fmt.Println("top terms by accumulated tf-idf weight:")
 	fmt.Printf("%-12s %10s %10s %10s\n", "term", "estimate", "lower", "upper")
-	for _, row := range sketch.TopK(12) {
+	for _, row := range sketch.Query().Limit(12).Collect() {
 		fmt.Printf("%-12s %10d %10d %10d\n", row.Item, row.Estimate, row.LowerBound, row.UpperBound)
 	}
 

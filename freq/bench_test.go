@@ -257,9 +257,8 @@ func BenchmarkFreqEstimate(b *testing.B) {
 }
 
 // BenchmarkQueryTopK measures the read path of the query layer on a
-// full sketch: the legacy eager wrapper vs the builder vs a streaming
-// (OrderNone) scan — the shape behind `freq -top N` and the TOPK wire
-// command.
+// full sketch: a limited ordered query vs a streaming (OrderNone) scan —
+// the shape behind `freq -top N` and the TOPK wire command.
 func BenchmarkQueryTopK(b *testing.B) {
 	stream := benchTrace(b)
 	s, err := New[int64](benchK, WithSeed(benchSeed), WithoutGrowth())
@@ -271,14 +270,6 @@ func BenchmarkQueryTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if rows := s.TopK(10); len(rows) != 10 {
-				b.Fatal("short result")
-			}
-		}
-	})
 	b.Run("builder", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -320,15 +311,24 @@ func BenchmarkConcurrentCachedView(b *testing.B) {
 		}
 		return c
 	}
+	// topK reads the way the wire server's TOPK does: the cached view,
+	// then a limited query over it.
+	topK := func(b *testing.B, c *Concurrent[int64]) {
+		v, err := c.View()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows := v.Query().Limit(10).Collect(); len(rows) != 10 {
+			b.Fatal("short result")
+		}
+	}
 	b.Run("cached", func(b *testing.B) {
 		c := newLoaded(b)
-		_ = c.TopK(10) // pay the first merge outside the loop
+		topK(b, c) // pay the first merge outside the loop
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if rows := c.TopK(10); len(rows) != 10 {
-				b.Fatal("short result")
-			}
+			topK(b, c)
 		}
 	})
 	b.Run("invalidated", func(b *testing.B) {
@@ -339,9 +339,7 @@ func BenchmarkConcurrentCachedView(b *testing.B) {
 			if err := c.Update(int64(i), 1); err != nil {
 				b.Fatal(err)
 			}
-			if rows := c.TopK(10); len(rows) != 10 {
-				b.Fatal("short result")
-			}
+			topK(b, c)
 		}
 	})
 }

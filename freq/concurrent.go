@@ -17,9 +17,9 @@ import (
 // the stream under its own lock — the concurrency pattern the paper's §3
 // mergeability story enables. Point queries (Estimate, bounds) touch
 // exactly one shard and carry that shard's (smaller) error band; row
-// queries (All, FrequentItems*, TopK, Query) answer from the
-// epoch-cached merged View, so repeated reads with no interleaved writes
-// perform zero additional shard merges.
+// queries (All, Query) answer from the epoch-cached merged View, so
+// repeated reads with no interleaved writes perform zero additional
+// shard merges.
 //
 // Like Sketch, it compiles down to the parallel-array backend for int64
 // and uint64 items and falls back to the generic map-backed backend for
@@ -385,39 +385,6 @@ func (c *Concurrent[T]) All() iter.Seq2[T, Row[T]] {
 
 // Query starts a composable query over the epoch-cached merged view.
 func (c *Concurrent[T]) Query() *Query[T] { return From[T](c) }
-
-// FrequentItems returns items qualifying against the merged view's error
-// band, ordered by descending estimate.
-func (c *Concurrent[T]) FrequentItems(et ErrorType) []Row[T] {
-	v, err := c.View()
-	if err != nil {
-		return nil
-	}
-	return v.FrequentItems(et)
-}
-
-// FrequentItemsAboveThreshold returns items qualifying against a caller
-// threshold, ordered by descending estimate (ties by item). It is a
-// compatibility wrapper over the epoch-cached View: rows carry the
-// merged summary's global error band, and repeated calls with no
-// interleaved writes re-merge nothing.
-func (c *Concurrent[T]) FrequentItemsAboveThreshold(threshold int64, et ErrorType) []Row[T] {
-	v, err := c.View()
-	if err != nil {
-		return nil
-	}
-	return v.FrequentItemsAboveThreshold(threshold, et)
-}
-
-// TopK returns up to k rows with the largest estimates (ties by item),
-// served from the epoch-cached View.
-func (c *Concurrent[T]) TopK(k int) []Row[T] {
-	v, err := c.View()
-	if err != nil {
-		return nil
-	}
-	return v.TopK(k)
-}
 
 // Snapshot merges all shards into a single fresh Sketch with the combined
 // counter budget via Algorithm 5. The result is independent of the

@@ -38,11 +38,11 @@ func ExampleNewWindowed() {
 	wd.Rotate()
 	wd.Update("steady-flow", 500)
 
-	for _, r := range wd.TopK(2) { // window still covers all three intervals
+	for _, r := range wd.Query().Limit(2).Collect() { // window still covers all three intervals
 		fmt.Println(r.Item, r.Estimate)
 	}
 	wd.Rotate() // "old-hot-flow"'s interval leaves the window
-	for _, r := range wd.TopK(2) {
+	for _, r := range wd.Query().Limit(2).Collect() {
 		fmt.Println(r.Item, r.Estimate)
 	}
 	fmt.Println(wd.Last(1).StreamWeight()) // the fresh head interval is empty
@@ -53,9 +53,9 @@ func ExampleNewWindowed() {
 	// 0
 }
 
-// ExampleSketch_TopK feeds a small weighted stream in one batch and
-// lists the heaviest items.
-func ExampleSketch_TopK() {
+// ExampleQuery_Limit feeds a small weighted stream in one batch and
+// lists the heaviest items: a limited query is the top k.
+func ExampleQuery_Limit() {
 	sk, err := freq.New[string](64)
 	if err != nil {
 		panic(err)
@@ -65,7 +65,7 @@ func ExampleSketch_TopK() {
 	if err := sk.UpdateWeightedBatch(items, weights); err != nil {
 		panic(err)
 	}
-	for _, row := range sk.TopK(2) {
+	for _, row := range sk.Query().Limit(2).Collect() {
 		fmt.Printf("%s %d\n", row.Item, row.Estimate)
 	}
 	// Output:

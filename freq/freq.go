@@ -14,7 +14,7 @@
 //
 //	sk, _ := freq.New[uint64](1024)
 //	sk.Update(srcIP, packetBytes)
-//	for _, row := range sk.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives) {
+//	for _, row := range sk.Query().Where(threshold).Collect() {
 //		fmt.Println(row.Item, row.Estimate)
 //	}
 //
@@ -405,27 +405,6 @@ func (s *Sketch[T]) All() iter.Seq2[T, Row[T]] {
 // Query starts a composable query over the sketch: filters, ordering,
 // and pagination with iterator results (see Query and From).
 func (s *Sketch[T]) Query() *Query[T] { return From[T](s) }
-
-// FrequentItems returns items qualifying against the sketch's own error
-// band, ordered by descending estimate.
-func (s *Sketch[T]) FrequentItems(et ErrorType) []Row[T] {
-	return s.FrequentItemsAboveThreshold(s.MaximumError(), et)
-}
-
-// FrequentItemsAboveThreshold returns items qualifying against a caller
-// threshold (φ·N for (φ, ε)-heavy hitters): under NoFalsePositives those
-// with LowerBound > threshold, under NoFalseNegatives those with
-// UpperBound > threshold. Rows are ordered by descending estimate, ties
-// by item. It is a compatibility wrapper over Query.
-func (s *Sketch[T]) FrequentItemsAboveThreshold(threshold int64, et ErrorType) []Row[T] {
-	return s.Query().Where(threshold).WithErrorType(et).Collect()
-}
-
-// TopK returns up to k rows with the largest estimates (ties by item).
-// It is a compatibility wrapper over Query.
-func (s *Sketch[T]) TopK(k int) []Row[T] {
-	return s.Query().Limit(k).Collect()
-}
 
 // String summarizes the sketch state for humans.
 func (s *Sketch[T]) String() string {

@@ -68,7 +68,7 @@ func TestSketchUint64GoldenPath(t *testing.T) {
 	// must contain only items above it.
 	threshold := truthN / 100
 	reported := map[uint64]bool{}
-	for _, r := range s.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives) {
+	for _, r := range s.Query().Where(threshold).WithErrorType(freq.NoFalseNegatives).Collect() {
 		reported[r.Item] = true
 	}
 	for item, w := range truth {
@@ -76,7 +76,7 @@ func TestSketchUint64GoldenPath(t *testing.T) {
 			t.Errorf("heavy item %d (weight %d) missing from NFN report", item, w)
 		}
 	}
-	for _, r := range s.FrequentItemsAboveThreshold(threshold, freq.NoFalsePositives) {
+	for _, r := range s.Query().Where(threshold).WithErrorType(freq.NoFalsePositives).Collect() {
 		if truth[r.Item] <= threshold {
 			t.Errorf("light item %d in NFP report", r.Item)
 		}
@@ -169,7 +169,7 @@ func TestSketchStringGoldenPath(t *testing.T) {
 
 	threshold := truthN / 50
 	reported := map[string]bool{}
-	for _, r := range s.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives) {
+	for _, r := range s.Query().Where(threshold).WithErrorType(freq.NoFalseNegatives).Collect() {
 		reported[r.Item] = true
 	}
 	for word, w := range truth {
@@ -265,11 +265,11 @@ func TestConcurrentUint64GoldenPath(t *testing.T) {
 		}
 	}
 
-	rows := c.FrequentItemsAboveThreshold(wantEach-1, freq.NoFalseNegatives)
+	rows := c.Query().Where(wantEach - 1).WithErrorType(freq.NoFalseNegatives).Collect()
 	if len(rows) < 500 {
 		t.Fatalf("FrequentItems returned %d rows, want >= 500", len(rows))
 	}
-	if top := c.TopK(10); len(top) != 10 {
+	if top := c.Query().Limit(10).Collect(); len(top) != 10 {
 		t.Fatalf("TopK = %d rows", len(top))
 	}
 

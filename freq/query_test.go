@@ -1,7 +1,6 @@
 // Tests for the unified query layer: the Query builder's filtering,
-// ordering, and pagination semantics; deterministic tie ordering; and
-// the equivalence of the legacy eager methods with their builder
-// wrappers, on both backends.
+// ordering, and pagination semantics, and deterministic tie ordering,
+// on both backends.
 package freq_test
 
 import (
@@ -16,6 +15,7 @@ import (
 	"testing"
 
 	"repro/freq"
+	"repro/internal/streamgen"
 )
 
 // queryFixture returns a sketch with a known exact state: items 0..9
@@ -56,6 +56,89 @@ func TestQueryWhereThresholdSemantics(t *testing.T) {
 	// Negative thresholds clamp to 0: all ten rows qualify.
 	if got := sk.Query().Where(-5).Count(); got != 10 {
 		t.Errorf("Where(-5) matched %d rows, want 10", got)
+	}
+}
+
+// TestFrequentItemsSemantics checks the two error types of a threshold
+// query against exact counts, on sketches small enough to decrement:
+// under NoFalsePositives every returned item is truly above the
+// threshold φ·N (φ = 0.05), and under NoFalseNegatives every item truly
+// above it is returned.
+func TestFrequentItemsSemantics(t *testing.T) {
+	t.Run("fast", func(t *testing.T) {
+		sk, err := freq.New[int64](48, freq.WithSeed(31), freq.WithoutGrowth())
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := map[int64]int64{}
+		add := func(item, weight int64) {
+			if err := sk.Update(item, weight); err != nil {
+				t.Fatal(err)
+			}
+			truth[item] += weight
+		}
+		add(1, 50_000)
+		add(2, 30_000)
+		add(3, 20_000)
+		stream, err := streamgen.ZipfStream(0.8, 1<<12, 30_000, 10, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range stream {
+			add(u.Item+100, u.Weight) // clear of the heavy items
+		}
+		checkFrequentItems(t, sk, truth, 1)
+	})
+	t.Run("generic", func(t *testing.T) {
+		sk, err := freq.New[string](8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := map[string]int64{}
+		add := func(item string, weight int64) {
+			if err := sk.Update(item, weight); err != nil {
+				t.Fatal(err)
+			}
+			truth[item] += weight
+		}
+		add("big", 10_000)
+		add("mid", 3_000)
+		rng := rand.New(rand.NewPCG(6, 6))
+		for range 5000 {
+			add("n"+strconv.Itoa(rng.IntN(500)), int64(rng.IntN(5)+1))
+		}
+		checkFrequentItems(t, sk, truth, "big")
+	})
+}
+
+// checkFrequentItems runs both error types' threshold queries and the
+// top-1 query against the exact counts in truth.
+func checkFrequentItems[T comparable](t *testing.T, sk *freq.Sketch[T], truth map[T]int64, heaviest T) {
+	t.Helper()
+	if sk.MaximumError() == 0 {
+		t.Fatal("the sketch never decremented, so its bounds are exact and prove nothing")
+	}
+	var n int64
+	for _, f := range truth {
+		n += f
+	}
+	threshold := n / 20
+	for _, r := range sk.Query().Where(threshold).WithErrorType(freq.NoFalsePositives).Collect() {
+		if truth[r.Item] <= threshold {
+			t.Errorf("NoFalsePositives returned %v with truth %d <= threshold %d", r.Item, truth[r.Item], threshold)
+		}
+	}
+	returned := map[T]bool{}
+	for _, r := range sk.Query().Where(threshold).WithErrorType(freq.NoFalseNegatives).Collect() {
+		returned[r.Item] = true
+	}
+	for item, f := range truth {
+		if f > threshold && !returned[item] {
+			t.Errorf("NoFalseNegatives missed %v with truth %d > threshold %d", item, f, threshold)
+		}
+	}
+	if top := sk.Query().Limit(1).Collect(); len(top) != 1 || top[0].Item != heaviest {
+		t.Errorf("Limit(1) = %v, want %v first", top, heaviest)
 	}
 }
 
@@ -145,8 +228,8 @@ func TestQueryTieOrderingDeterministic(t *testing.T) {
 		}
 		want := []int64{0, 1, 2, 3, 4}
 		for trial := 0; trial < 5; trial++ {
-			if got := itemsOf(sk.TopK(5)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: TopK(5) = %v, want %v", trial, got, want)
+			if got := itemsOf(sk.Query().Limit(5).Collect()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: Limit(5) = %v, want %v", trial, got, want)
 			}
 		}
 	})
@@ -162,13 +245,13 @@ func TestQueryTieOrderingDeterministic(t *testing.T) {
 		}
 		want := []string{"alpha", "bravo", "charlie"}
 		for trial := 0; trial < 5; trial++ {
-			rows := sk.TopK(3)
+			rows := sk.Query().Limit(3).Collect()
 			got := make([]string, len(rows))
 			for i, r := range rows {
 				got[i] = r.Item
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: TopK(3) = %v, want %v (map order must not leak)", trial, got, want)
+				t.Fatalf("trial %d: Limit(3) = %v, want %v (map order must not leak)", trial, got, want)
 			}
 		}
 	})
@@ -188,20 +271,6 @@ func TestQueryTieOrderingDeterministic(t *testing.T) {
 			t.Errorf("constant comparator = %v, want item order %v", got, want)
 		}
 	})
-}
-
-// TestLegacyMethodsAreQueryWrappers pins that the eager compatibility
-// methods and the builder return byte-identical results.
-func TestLegacyMethodsAreQueryWrappers(t *testing.T) {
-	sk := queryFixture(t)
-	if got, want := sk.TopK(4), sk.Query().Limit(4).Collect(); !reflect.DeepEqual(got, want) {
-		t.Errorf("TopK = %v, builder = %v", got, want)
-	}
-	got := sk.FrequentItemsAboveThreshold(30, freq.NoFalsePositives)
-	want := sk.Query().Where(30).WithErrorType(freq.NoFalsePositives).Collect()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("FrequentItemsAboveThreshold = %v, builder = %v", got, want)
-	}
 }
 
 // TestSignedQueryParity exercises the turnstile front-end's new batch
@@ -261,13 +330,13 @@ func TestSignedQueryParity(t *testing.T) {
 	}
 
 	// Query over a Signed summary: top items by signed estimate.
-	rows := batched.TopK(2)
+	rows := batched.Query().Limit(2).Collect()
 	if len(rows) != 2 || rows[0].Item != 3 || rows[1].Item != 2 {
-		t.Errorf("Signed TopK = %v", rows)
+		t.Errorf("Signed Limit(2) = %v", rows)
 	}
 	// Item 4 went net negative (-40): it must not outrank positives, and
 	// a threshold query must exclude it.
-	for _, r := range batched.FrequentItemsAboveThreshold(0, freq.NoFalsePositives) {
+	for _, r := range batched.Query().Where(0).WithErrorType(freq.NoFalsePositives).Collect() {
 		if r.Item == 4 {
 			t.Error("net-negative item cleared a positive threshold")
 		}
@@ -400,7 +469,7 @@ func checkSelection[T cmp.Ordered](t *testing.T, name string, src freq.Queryable
 }
 
 // TestTopKAllocatesOnlyTheSelection checks that a limited query holds
-// only the rows it may return: TopK(64) on a full 16k-counter sketch
+// only the rows it may return: Limit(64) on a full 16k-counter sketch
 // allocates a few kilobytes, not a copy of every counter.
 func TestTopKAllocatesOnlyTheSelection(t *testing.T) {
 	sk, err := freq.New[int64](16384, freq.WithSeed(5))
@@ -420,12 +489,12 @@ func TestTopKAllocatesOnlyTheSelection(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		if rows := sk.TopK(64); len(rows) != 64 {
-			t.Fatalf("TopK(64) returned %d rows", len(rows))
+		if rows := sk.Query().Limit(64).Collect(); len(rows) != 64 {
+			t.Fatalf("Limit(64) returned %d rows", len(rows))
 		}
 	}
 	runtime.ReadMemStats(&after)
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 64<<10 {
-		t.Errorf("TopK(64) over %d counters allocated %d bytes per call, want under 64 KiB", sk.NumActive(), perCall)
+		t.Errorf("Limit(64) over %d counters allocated %d bytes per call, want under 64 KiB", sk.NumActive(), perCall)
 	}
 }

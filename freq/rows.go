@@ -10,8 +10,8 @@ import (
 // DataSketches API: which side of the sketch's error band — at most
 // MaximumError(), the ε·W of the paper's Theorem 2 with ε = 1/(0.33·k)
 // — a query is allowed to err on. One of the two is always exact; the
-// sketch cannot be wrong on both sides at once. The numeric values
-// align with both internal backends, so conversions are free.
+// sketch cannot be wrong on both sides at once. The numeric values, 0
+// and 1, are what the wire protocol's FI command carries.
 type ErrorType int
 
 const (

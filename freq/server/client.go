@@ -385,10 +385,11 @@ func (c *clientConn) reconnect() error {
 // client's fault-tolerance policy: reconnect first if the connection is
 // known broken, classify failures, and — for idempotent operations with
 // retry configured — re-dial and re-run with jittered exponential
-// backoff. Protocol errors (the server answered ERR, or answered
-// something unparseable on an intact stream) are returned as-is and
-// never retried; transport failures poison the connection and surface
-// as *TransportError.
+// backoff. Protocol errors (the server answered ERR, or sent a
+// snapshot blob of the announced length that does not decode) leave
+// the stream intact and are returned as-is, never retried. Transport
+// failures, which include a reply that does not parse (see badReply),
+// poison the connection and surface as *TransportError.
 func (c *clientConn) do(op string, idempotent bool, fn func() error) error {
 	attempts := 0
 	for {
@@ -453,7 +454,7 @@ func (c *clientConn) Negotiate() (bool, error) {
 			continue
 		}
 		if line != fmt.Sprintf("HELLO BIN %d", ver) {
-			return false, fmt.Errorf("server: unexpected HELLO response %q", line)
+			return false, badReply("unexpected HELLO response %q", line)
 		}
 		c.bin = true
 		c.binVer = ver
@@ -557,17 +558,25 @@ const (
 )
 
 // replyCount parses the count in a "MULTI <n>" or "SNAP <n>" reply
-// header. A count outside [0, limit] leaves the rest of the reply
-// unreadable, so it is a transport error.
+// header. A header that does not parse, or a count outside [0, limit],
+// leaves the rest of the reply unreadable, so it is a transport error.
 func replyCount(header, verb string, limit int) (int, error) {
 	var n int
 	if _, err := fmt.Sscanf(header, verb+" %d", &n); err != nil {
-		return 0, fmt.Errorf("server: bad %s header %q", strings.ToLower(verb), header)
+		return 0, badReply("bad %s header %q", strings.ToLower(verb), header)
 	}
 	if n < 0 || n > limit {
-		return 0, transportErr(fmt.Errorf("client: %s count %d outside [0, %d]", verb, n, limit))
+		return 0, badReply("%s count %d outside [0, %d]", verb, n, limit)
 	}
 	return n, nil
+}
+
+// badReply reports a reply that is not ERR and does not parse. The rest
+// of that reply may still be on the stream, where it would be read as
+// the next command's answer, so it is a transport error: the connection
+// is marked broken and the next command redials.
+func badReply(format string, args ...any) error {
+	return transportErr(fmt.Errorf("client: "+format, args...))
 }
 
 // readGrowing reads the n bytes a peer announced — a reply frame's
@@ -699,7 +708,7 @@ func (c *clientConn) readAck(n int) error {
 	}
 	var got int
 	if _, err := fmt.Sscanf(line, "OK %d", &got); err != nil || got != n {
-		return fmt.Errorf("server: unexpected batch response %q", line)
+		return badReply("unexpected batch response %q", line)
 	}
 	return nil
 }
@@ -713,7 +722,7 @@ func (c *Client[T]) exec(op, format string, args ...any) error {
 			return err
 		}
 		if resp != "OK" {
-			return fmt.Errorf("server: unexpected response %q", resp)
+			return badReply("unexpected response %q", resp)
 		}
 		return nil
 	})
@@ -777,7 +786,7 @@ func (c *Client[T]) updateBlock(items []T, weights []int64) error {
 					return err
 				}
 				if resp != "OK" {
-					return fmt.Errorf("server: unexpected response %q", resp)
+					return badReply("unexpected response %q", resp)
 				}
 			}
 			return nil
@@ -851,7 +860,7 @@ func (c *Client[T]) Query(item T) (est, lb, ub int64, err error) {
 			return rerr
 		}
 		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
+			return badReply("bad response %q", resp)
 		}
 		return nil
 	})
@@ -877,7 +886,7 @@ func (c *Client[T]) readMulti(header string) ([]freq.Row[T], error) {
 		var r freq.Row[T]
 		if _, err := fmt.Sscanf(strings.TrimSpace(line), "ITEM %d %d %d %d",
 			&item, &r.Estimate, &r.LowerBound, &r.UpperBound); err != nil {
-			return nil, fmt.Errorf("server: bad row %q", line)
+			return nil, badReply("bad row %q", line)
 		}
 		r.Item = T(item)
 		rows = append(rows, r)
@@ -966,16 +975,16 @@ func (c *Client[T]) StatsFull() (ServerStats, error) {
 		}
 		rest, ok := strings.CutPrefix(resp, "STATS ")
 		if !ok {
-			return fmt.Errorf("server: bad stats %q", resp)
+			return badReply("bad stats %q", resp)
 		}
 		for _, field := range strings.Fields(rest) {
 			key, val, ok := strings.Cut(field, "=")
 			if !ok {
-				return fmt.Errorf("server: bad stats field %q in %q", field, resp)
+				return badReply("bad stats field %q in %q", field, resp)
 			}
 			n, perr := strconv.ParseInt(val, 10, 64)
 			if perr != nil {
-				return fmt.Errorf("server: bad stats value %q in %q", field, resp)
+				return badReply("bad stats value %q in %q", field, resp)
 			}
 			switch key {
 			case "n":
@@ -1057,7 +1066,7 @@ func (c *Client[T]) Rotate() (rotations int64, err error) {
 			return rerr
 		}
 		if _, serr := fmt.Sscanf(resp, "OK %d", &rotations); serr != nil {
-			return fmt.Errorf("server: unexpected response %q", resp)
+			return badReply("unexpected response %q", resp)
 		}
 		return nil
 	})

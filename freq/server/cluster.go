@@ -394,22 +394,3 @@ func (c *Cluster[T]) All() iter.Seq2[T, freq.Row[T]] {
 
 // Query starts a composable query over the merged fleet view.
 func (c *Cluster[T]) Query() *freq.Query[T] { return freq.From[T](c) }
-
-// TopK returns up to k rows with the largest fleet-wide estimates.
-func (c *Cluster[T]) TopK(k int) ([]freq.Row[T], error) {
-	v, err := c.View()
-	if err != nil {
-		return nil, err
-	}
-	return v.TopK(k), nil
-}
-
-// FrequentItemsAboveThreshold returns fleet-wide items qualifying
-// against threshold under et, from the current view.
-func (c *Cluster[T]) FrequentItemsAboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
-	v, err := c.View()
-	if err != nil {
-		return nil, err
-	}
-	return v.FrequentItemsAboveThreshold(threshold, et), nil
-}

@@ -169,8 +169,8 @@ func TestClusterSnapshotIsolation(t *testing.T) {
 	if got := cluster.Estimate(7); got != 150 {
 		t.Errorf("post-refresh Estimate(7) = %d, want 150", got)
 	}
-	if got, err := cluster.TopK(1); err != nil || len(got) != 1 || got[0].Item != 7 {
-		t.Errorf("TopK = %v, %v", got, err)
+	if got := cluster.Query().Limit(1).Collect(); len(got) != 1 || got[0].Item != 7 || cluster.Err() != nil {
+		t.Errorf("Query().Limit(1) = %v, Err %v", got, cluster.Err())
 	}
 }
 

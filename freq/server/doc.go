@@ -307,7 +307,9 @@
 // round trip; a wire failure surfaces as a typed *TransportError
 // (distinct from a server ERR, which means the request was received
 // and answered) and poisons the connection, so the next operation
-// re-dials instead of trusting a desynchronized stream. WithRetry
+// re-dials instead of trusting a desynchronized stream. A reply that is
+// not ERR and does not parse counts as a wire failure: its unread rest
+// would otherwise be taken for the next command's answer. WithRetry
 // re-runs idempotent reads (EST, TOPK, FI, HH, SNAP, STATS — through
 // any Tenant, Window or Range handle) across reconnects with jittered
 // exponential backoff; ingest (U, UB, PAIRS) is never auto-retried,

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -508,4 +509,212 @@ func fakePeerReply(conn net.Conn, bin bool, reply string, frameLen uint32) {
 	hdr[0] = opReply
 	binary.LittleEndian.PutUint32(hdr[1:], frameLen)
 	conn.Write(append(hdr[:], reply...))
+}
+
+// scriptedPeer serves a scripted peer on loopback TCP: it answers every
+// command, text line or binary frame, with answer(cmd) in the same
+// framing. It accepts HELLO BIN 2, answers QUIT with BYE, and counts
+// the connections it accepts, so a test can see a client redial.
+func scriptedPeer(t *testing.T, answer func(cmd string) string) (addr string, conns *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns = new(atomic.Int64)
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		open   []net.Conn
+		closed bool
+	)
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		closed = true
+		for _, c := range open {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			mu.Lock()
+			if closed {
+				mu.Unlock()
+				c.Close()
+				return
+			}
+			open = append(open, c)
+			wg.Add(1)
+			mu.Unlock()
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				serveScript(c, answer)
+			}()
+		}
+	}()
+	return ln.Addr().String(), conns
+}
+
+// serveScript answers the commands on one scripted-peer connection until
+// the client quits or hangs up.
+func serveScript(c net.Conn, answer func(cmd string) string) {
+	r := bufio.NewReader(c)
+	bin := false
+	for {
+		var cmd string
+		if bin {
+			var hdr [frameHeader]byte
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				return
+			}
+			payload := make([]byte, binary.LittleEndian.Uint32(hdr[1:]))
+			if _, err := io.ReadFull(r, payload); err != nil {
+				return
+			}
+			cmd = string(payload)
+		} else {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				return
+			}
+			cmd = strings.TrimSpace(line)
+		}
+		var reply string
+		switch cmd {
+		case "HELLO BIN 2":
+			reply = cmd + "\n"
+		case "QUIT":
+			reply = "BYE\n"
+		default:
+			reply = answer(cmd)
+		}
+		if bin {
+			hdr := [frameHeader]byte{opReply}
+			binary.LittleEndian.PutUint32(hdr[1:], uint32(len(reply)))
+			reply = string(hdr[:]) + reply
+		}
+		if _, err := io.WriteString(c, reply); err != nil || cmd == "QUIT" {
+			return
+		}
+		bin = bin || cmd == "HELLO BIN 2"
+	}
+}
+
+// TestFaultUnparseableReplyRedials pins the reply parsers' contract in
+// both framings: a reply that is not ERR and does not parse is a
+// transport error, so the client redials instead of reading the reply's
+// unread rest as the next command's answer. The scripted peer answers
+// TOPK with a MULTI block whose first row is garbage, and EST <item>
+// with <item> as estimate and both bounds.
+func TestFaultUnparseableReplyRedials(t *testing.T) {
+	answer := func(cmd string) string {
+		if item, ok := strings.CutPrefix(cmd, "EST "); ok {
+			return fmt.Sprintf("EST %s %s %s\n", item, item, item)
+		}
+		return "MULTI 2\nBOGUS\nITEM 1 2 3 4\n"
+	}
+	for _, framing := range framings[:2] {
+		t.Run(framing, func(t *testing.T) {
+			addr, conns := scriptedPeer(t, answer)
+			var opts []ClientOption
+			if framing == "bin2" {
+				opts = append(opts, WithBinary())
+			}
+			c, err := Dial[int64](addr, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if c.Binary() != (framing == "bin2") {
+				t.Fatalf("negotiated binary=%v", c.Binary())
+			}
+			if _, err := c.TopK(2); !isTransport(err) {
+				t.Fatalf("TopK over a garbled MULTI block = %v, want a transport error", err)
+			}
+			for _, item := range []int64{5, 6} {
+				est, lb, ub, err := c.Query(item)
+				if err != nil || est != item || lb != item || ub != item {
+					t.Fatalf("Query(%d) = %d %d %d, %v; want the peer's answer for %d", item, est, lb, ub, err, item)
+				}
+			}
+			if n := conns.Load(); n != 2 {
+				t.Errorf("peer accepted %d connections, want 2: one redial after the bad reply", n)
+			}
+		})
+	}
+}
+
+// TestFaultClusterGarbageNode runs a three-node Cluster at quorum 2
+// whose third node answers SNAP with garbage. Two refreshes in a row
+// must each merge the two real nodes and name only the garbage node
+// dead. A reply that leaves the stream unreadable makes its client
+// redial on the second refresh; an ERR, or a blob of the announced
+// length that does not decode, leaves the stream intact and the
+// connection is kept.
+func TestFaultClusterGarbageNode(t *testing.T) {
+	cases := []struct {
+		name, reply string
+		redial      bool
+	}{
+		{"corrupt blob", "SNAP 8\nnotasnap", false},
+		{"non-SNAP header", "OK\n", true},
+		{"negative count", "SNAP -3\n", true},
+		{"MULTI block", "MULTI 2\nITEM 7 1 1 1\nITEM 8 1 1 1\n", true},
+		{"ERR", "ERR no snapshot here\n", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var nodes []*Client[int64]
+			for range 2 {
+				srv := startServer(t, Config{MaxCounters: 512, Shards: 2})
+				c, err := Dial[int64](srv.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Update(7, 100); err != nil {
+					t.Fatal(err)
+				}
+				nodes = append(nodes, c)
+			}
+			bad, conns := scriptedPeer(t, func(string) string { return tc.reply })
+			c, err := Dial[int64](bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cluster, err := NewCluster(append(nodes, c), WithQuorum(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cluster.Close() })
+			for refresh := 1; refresh <= 2; refresh++ {
+				if err := cluster.Refresh(); err != nil {
+					t.Fatalf("refresh %d: %v", refresh, err)
+				}
+				if got := cluster.Estimate(7); got != 200 {
+					t.Errorf("refresh %d: Estimate(7) = %d, want 200", refresh, got)
+				}
+				if dead := cluster.Manifest().Dead(); len(dead) != 1 || dead[0] != bad {
+					t.Errorf("refresh %d: dead nodes %v, want only %s", refresh, dead, bad)
+				}
+			}
+			want := int64(1)
+			if tc.redial {
+				want = 2
+			}
+			if n := conns.Load(); n != want {
+				t.Errorf("garbage node accepted %d connections, want %d", n, want)
+			}
+		})
+	}
 }

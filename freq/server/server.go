@@ -676,7 +676,11 @@ func (c *conn) dispatch(line string) (quit bool, err error) {
 			return false, errors.New("phi-millis must be 0..1000")
 		}
 		threshold := int64(float64(millis) / 1000 * float64(sc.sk.StreamWeight()))
-		writeRows(w, sc.sk.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives))
+		rows, err := liveSource{sc.sk}.aboveThreshold(threshold, freq.NoFalseNegatives)
+		if err != nil {
+			return false, err
+		}
+		writeRows(w, rows)
 	case "WIN":
 		if sc.win == nil {
 			return false, ErrNoWindow
@@ -881,8 +885,8 @@ func (c *conn) drainLines(n int) bool {
 // shaped identically whichever it is.
 type source interface {
 	estimate(item int64) (est, lb, ub int64)
-	topK(n int) []freq.Row[int64]
-	aboveThreshold(threshold int64, et freq.ErrorType) []freq.Row[int64]
+	topK(n int) ([]freq.Row[int64], error)
+	aboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[int64], error)
 	appendBinary(dst []byte) ([]byte, error)
 }
 
@@ -895,10 +899,20 @@ func (l liveSource) estimate(item int64) (est, lb, ub int64) {
 	return l.sk.Estimate(item), l.sk.LowerBound(item), l.sk.UpperBound(item)
 }
 
-func (l liveSource) topK(n int) []freq.Row[int64] { return l.sk.TopK(n) }
+func (l liveSource) topK(n int) ([]freq.Row[int64], error) {
+	v, err := l.sk.View()
+	if err != nil {
+		return nil, err
+	}
+	return viewSource{v}.topK(n)
+}
 
-func (l liveSource) aboveThreshold(threshold int64, et freq.ErrorType) []freq.Row[int64] {
-	return l.sk.FrequentItemsAboveThreshold(threshold, et)
+func (l liveSource) aboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[int64], error) {
+	v, err := l.sk.View()
+	if err != nil {
+		return nil, err
+	}
+	return viewSource{v}.aboveThreshold(threshold, et)
 }
 
 func (l liveSource) appendBinary(dst []byte) ([]byte, error) {
@@ -921,30 +935,35 @@ func (ws windowSource) estimate(item int64) (est, lb, ub int64) {
 	return ws.win.EstimateLast(ws.width, item)
 }
 
-func (ws windowSource) topK(n int) []freq.Row[int64] { return ws.win.TopKLast(ws.width, n) }
+func (ws windowSource) topK(n int) ([]freq.Row[int64], error) {
+	return ws.win.TopKLast(ws.width, n), nil
+}
 
-func (ws windowSource) aboveThreshold(threshold int64, et freq.ErrorType) []freq.Row[int64] {
-	return ws.win.FrequentItemsAboveThresholdLast(ws.width, threshold, et)
+func (ws windowSource) aboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[int64], error) {
+	return ws.win.FrequentItemsAboveThresholdLast(ws.width, threshold, et), nil
 }
 
 func (ws windowSource) appendBinary(dst []byte) ([]byte, error) {
 	return ws.win.AppendBinaryLast(ws.width, dst)
 }
 
-// rangeSource reads a merged RANGE view of stored slots.
-type rangeSource struct{ v *freq.View[int64] }
+// viewSource reads one merged view: a RANGE view of stored slots, or
+// the all-time sketch's cached view for liveSource's row reads.
+type viewSource struct{ v *freq.View[int64] }
 
-func (rs rangeSource) estimate(item int64) (est, lb, ub int64) {
-	return rs.v.Estimate(item), rs.v.LowerBound(item), rs.v.UpperBound(item)
+func (vs viewSource) estimate(item int64) (est, lb, ub int64) {
+	return vs.v.Estimate(item), vs.v.LowerBound(item), vs.v.UpperBound(item)
 }
 
-func (rs rangeSource) topK(n int) []freq.Row[int64] { return rs.v.TopK(n) }
-
-func (rs rangeSource) aboveThreshold(threshold int64, et freq.ErrorType) []freq.Row[int64] {
-	return rs.v.FrequentItemsAboveThreshold(threshold, et)
+func (vs viewSource) topK(n int) ([]freq.Row[int64], error) {
+	return vs.v.Query().Limit(n).Collect(), nil
 }
 
-func (rs rangeSource) appendBinary(dst []byte) ([]byte, error) { return rs.v.AppendBinary(dst) }
+func (vs viewSource) aboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[int64], error) {
+	return vs.v.Query().Where(threshold).WithErrorType(et).Collect(), nil
+}
+
+func (vs viewSource) appendBinary(dst []byte) ([]byte, error) { return vs.v.AppendBinary(dst) }
 
 // read serves one read verb — EST/Q, TOPK/TOP, FI or SNAP/SNAPSHOT —
 // from src. usage names the scope in usage errors ("", "WIN <w> ",
@@ -972,7 +991,11 @@ func (c *conn) read(src source, usage, kind, verb string, args []string) error {
 		if err != nil || n < 1 {
 			return errors.New("bad count")
 		}
-		writeRows(w, src.topK(n))
+		rows, err := src.topK(n)
+		if err != nil {
+			return err
+		}
+		writeRows(w, rows)
 	case "FI":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: %sFI <et> <threshold>", usage)
@@ -985,7 +1008,11 @@ func (c *conn) read(src source, usage, kind, verb string, args []string) error {
 		if err != nil {
 			return errors.New("bad threshold")
 		}
-		writeRows(w, src.aboveThreshold(threshold, et))
+		rows, err := src.aboveThreshold(threshold, et)
+		if err != nil {
+			return err
+		}
+		writeRows(w, rows)
 	case "SNAPSHOT", "SNAP":
 		// Every scope's snapshot is the ordinary single-sketch wire
 		// format, so one client decode path (and the Cluster merge)
@@ -1045,7 +1072,7 @@ func (c *conn) readRange(sc scope, args []string) error {
 	if err != nil {
 		return err
 	}
-	return c.read(rangeSource{freq.NewView(sk)}, "RANGE <from> <to> ", "range ", strings.ToUpper(args[2]), args[3:])
+	return c.read(viewSource{freq.NewView(sk)}, "RANGE <from> <to> ", "range ", strings.ToUpper(args[2]), args[3:])
 }
 
 // parseTime reads a RANGE bound: integer unix seconds or an RFC 3339

@@ -9,10 +9,12 @@ import (
 )
 
 // TransportError is the typed failure of the wire itself — a dial, read,
-// write, deadline, or framing-desync error — as distinct from a protocol
-// error (the server answered ERR) or a parse error (the server answered
-// nonsense). The client's retry machinery keys off this distinction:
-// only transport failures are retried, and only for idempotent reads.
+// write, deadline, or framing-desync error, including a reply that does
+// not parse, whose unread rest would otherwise be taken for the next
+// answer — as distinct from a protocol error (the server answered ERR,
+// or sent a snapshot blob that does not decode). The client's retry
+// machinery keys off this distinction: only transport failures are
+// retried, and only for idempotent reads.
 // Callers of the non-idempotent ingest paths (Update, UpdateBatch, the
 // pairs frames under them) receive a *TransportError on wire failure so
 // they can decide for themselves whether re-sending risks double

@@ -306,11 +306,11 @@ func TestClusterWindowFanout(t *testing.T) {
 	if got := cl.StreamWeight(); got != 75 {
 		t.Fatalf("fleet window N=%d, want 75", got)
 	}
-	rows, err := cl.TopK(2)
+	v, err := cl.View()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Item != 7 || rows[0].Estimate != 60 {
+	if rows := v.Query().Limit(2).Collect(); len(rows) != 2 || rows[0].Item != 7 || rows[0].Estimate != 60 {
 		t.Fatalf("fleet rolling TopK: %v", rows)
 	}
 

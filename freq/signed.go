@@ -190,25 +190,6 @@ func (t *Signed[T]) All() iter.Seq2[T, Row[T]] {
 // Query starts a composable query over the signed summary.
 func (t *Signed[T]) Query() *Query[T] { return From[T](t) }
 
-// FrequentItems returns items qualifying against the summary's own error
-// band, ordered by descending estimate (ties by item).
-func (t *Signed[T]) FrequentItems(et ErrorType) []Row[T] {
-	return t.FrequentItemsAboveThreshold(t.MaximumError(), et)
-}
-
-// FrequentItemsAboveThreshold returns items qualifying against a caller
-// threshold under et, ordered by descending estimate (ties by item) —
-// query parity with the unsigned front-ends, via Query.
-func (t *Signed[T]) FrequentItemsAboveThreshold(threshold int64, et ErrorType) []Row[T] {
-	return t.Query().Where(threshold).WithErrorType(et).Collect()
-}
-
-// TopK returns up to k rows with the largest signed estimates (ties by
-// item).
-func (t *Signed[T]) TopK(k int) []Row[T] {
-	return t.Query().Limit(k).Collect()
-}
-
 // Merge folds other into t component-wise (Algorithm 5 on each side,
 // each riding the same bulk merge kernel as unsigned sketches) and
 // returns t.

@@ -33,5 +33,5 @@
 //	defer stop()
 //	...
 //	v, _ := st.Query(yesterday, now)
-//	top := v.TopK(10)
+//	top := v.Query().Limit(10).Collect()
 package store

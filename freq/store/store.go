@@ -416,10 +416,10 @@ func (st *Store[T]) rollLocked(bucket int64) error {
 // Query merges every persisted slot overlapping the half-open range
 // [from, to) into one summary and returns it as a read view — the
 // historical generalization of Windowed.Last, serving the same
-// freq.Queryable surface (Query builder, TopK, FrequentItems*,
-// AppendBinary). Partitions decode in parallel on the store's worker
-// pool; each block loads through DeserializeInto into pooled tables and
-// folds in through the bulk merge kernels. The view's error band is the
+// freq.Queryable surface (the Query builder, AppendBinary). Partitions
+// decode in parallel on the store's worker pool; each block loads
+// through DeserializeInto into pooled tables and folds in through the
+// bulk merge kernels. The view's error band is the
 // sum of the covered slots' bands (Theorem 5): zero while every slot
 // stayed within its per-interval budget and the merged budget admits
 // every counter.

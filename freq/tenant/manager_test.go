@@ -465,10 +465,10 @@ func TestTenantSoakWeightConservation(t *testing.T) {
 				}
 				v, err := ten.Sketch().View()
 				if err == nil {
-					_ = v.TopK(5)
+					_ = v.Query().Limit(5).Collect()
 				}
 				if win := ten.Windowed(); win != nil {
-					_ = win.TopK(3)
+					_ = win.Query().Limit(3).Collect()
 				}
 				ten.Release()
 			}

@@ -74,23 +74,6 @@ func (v *View[T]) All() iter.Seq2[T, Row[T]] { return v.sk.All() }
 // Query starts a composable query over the view.
 func (v *View[T]) Query() *Query[T] { return From[T](v) }
 
-// FrequentItems returns items qualifying against the view's own error
-// band, ordered by descending estimate.
-func (v *View[T]) FrequentItems(et ErrorType) []Row[T] {
-	return v.FrequentItemsAboveThreshold(v.MaximumError(), et)
-}
-
-// FrequentItemsAboveThreshold returns items qualifying against a caller
-// threshold, ordered by descending estimate (ties by item).
-func (v *View[T]) FrequentItemsAboveThreshold(threshold int64, et ErrorType) []Row[T] {
-	return v.Query().Where(threshold).WithErrorType(et).Collect()
-}
-
-// TopK returns up to k rows with the largest estimates.
-func (v *View[T]) TopK(k int) []Row[T] {
-	return v.Query().Limit(k).Collect()
-}
-
 // Materialize returns an independent mutable copy of the view, for
 // callers that want to merge it onward or serialize it without holding
 // the shared cache entry.

@@ -45,9 +45,15 @@ func TestConcurrentCachedViewMergeCountFlat(t *testing.T) {
 			t.Fatalf("read after write merged to %d, want %d", got, after+shards)
 		}
 	}
-	t.Run("TopK", func(t *testing.T) { run(t, func(c *freq.Concurrent[int64]) { _ = c.TopK(5) }) })
+	t.Run("TopK", func(t *testing.T) {
+		run(t, func(c *freq.Concurrent[int64]) {
+			if v, err := c.View(); err == nil {
+				_ = v.Query().Limit(5).Collect()
+			}
+		})
+	})
 	t.Run("FrequentItemsAboveThreshold", func(t *testing.T) {
-		run(t, func(c *freq.Concurrent[int64]) { _ = c.FrequentItemsAboveThreshold(10, freq.NoFalseNegatives) })
+		run(t, func(c *freq.Concurrent[int64]) { _ = c.Query().Where(10).Collect() })
 	})
 	t.Run("QueryCollect", func(t *testing.T) {
 		run(t, func(c *freq.Concurrent[int64]) { _ = c.Query().Limit(3).Collect() })
@@ -64,14 +70,14 @@ func TestConcurrentCachedViewGenericBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.UpdateBatch([]string{"a", "b", "c", "a"})
-	_ = c.TopK(2)
+	_ = c.Query().Limit(2).Collect()
 	base := c.ViewMerges()
 	if base != shards {
 		t.Fatalf("first read merged %d shards, want %d", base, shards)
 	}
 	for i := 0; i < 5; i++ {
-		_ = c.TopK(2)
-		_ = c.FrequentItems(freq.NoFalseNegatives)
+		_ = c.Query().Limit(2).Collect()
+		_ = c.Query().Where(c.MaximumError()).Collect()
 	}
 	if got := c.ViewMerges(); got != base {
 		t.Fatalf("repeated reads grew merge count %d -> %d", base, got)
@@ -88,7 +94,7 @@ func TestConcurrentCachedViewGenericBackend(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TopK(1); len(got) != 1 || got[0].Item != "d" {
+	if got := c.Query().Limit(1).Collect(); len(got) != 1 || got[0].Item != "d" {
 		t.Fatalf("TopK after writer flush = %v, want d", got)
 	}
 	if got := c.ViewMerges(); got <= base {
@@ -98,7 +104,7 @@ func TestConcurrentCachedViewGenericBackend(t *testing.T) {
 	// Reset invalidates too.
 	base = c.ViewMerges()
 	c.Reset()
-	if got := c.TopK(1); len(got) != 0 {
+	if got := c.Query().Limit(1).Collect(); len(got) != 0 {
 		t.Fatalf("TopK after Reset = %v, want empty", got)
 	}
 	if got := c.ViewMerges(); got <= base {

@@ -21,18 +21,18 @@ import (
 // of the last w intervals, cached by write epoch so repeated queries
 // with no interleaved writes or rotations re-merge nothing.
 //
-//	wd, _ := freq.NewWindowed[uint64](4096, 60) // 60 intervals of 4096 counters
-//	go every(time.Second, wd.Rotate)            // caller-driven rotation
+//	wd, _ := freq.NewWindowed[uint64](4096, 60)      // 60 intervals of 4096 counters
+//	go every(time.Second, wd.Rotate)                 // caller-driven rotation
 //	wd.Update(srcIP, packetBytes)
-//	top := wd.TopK(10)                          // over the whole window
-//	recent := wd.Last(5).TopK(10)               // over the last 5 intervals
+//	top := wd.Query().Limit(10).Collect()            // over the whole window
+//	recent := wd.Last(5).Query().Limit(10).Collect() // over the last 5 intervals
 //
-// Windowed implements Queryable over the full window, so Query, TopK,
-// and FrequentItems* work unchanged; Last scopes any of them to a
-// suffix of the window. The merged view carries the sum of the covered
-// intervals' error bands (Theorem 5); while every covered interval
-// stays within its own budget the view adds no error of its own, and a
-// width-1 view reproduces its interval's sketch answers exactly.
+// Windowed implements Queryable over the full window, so Query works
+// unchanged; Last scopes it to a suffix of the window. The merged view
+// carries the sum of the covered intervals' error bands (Theorem 5);
+// while every covered interval stays within its own budget the view
+// adds no error of its own, and a width-1 view reproduces its
+// interval's sketch answers exactly.
 //
 // A Windowed is not safe for concurrent use — rotation and writes
 // mutate shared state. ConcurrentWindowed is the goroutine-safe
@@ -307,8 +307,8 @@ func (wd *Windowed[T]) merged(width int) *Sketch[T] {
 func (wd *Windowed[T]) ViewMerges() int64 { return wd.viewMerges }
 
 // Last returns a read view scoped to the last w intervals (w clamped to
-// [1, N]): a Queryable façade over the merged suffix, so Query, TopK,
-// and FrequentItems* run window-scoped. The view aliases the window's
+// [1, N]): a Queryable façade over the merged suffix, so Query runs
+// window-scoped. The view aliases the window's
 // single cached merge sketch — unlike a Concurrent view it is NOT an
 // independent snapshot: it is valid only until the next write, Rotate,
 // or any read at a different width (including the full-window Queryable
@@ -365,25 +365,6 @@ func (wd *Windowed[T]) All() iter.Seq2[T, Row[T]] {
 // Query starts a composable query over the full window; use Last(w) to
 // scope it to a suffix.
 func (wd *Windowed[T]) Query() *Query[T] { return From[T](wd) }
-
-// FrequentItems returns items qualifying against the window's own error
-// band, ordered by descending estimate.
-func (wd *Windowed[T]) FrequentItems(et ErrorType) []Row[T] {
-	return wd.merged(len(wd.slots)).FrequentItems(et)
-}
-
-// FrequentItemsAboveThreshold returns items in the window qualifying
-// against a caller threshold under et, ordered by descending estimate
-// (ties by item).
-func (wd *Windowed[T]) FrequentItemsAboveThreshold(threshold int64, et ErrorType) []Row[T] {
-	return wd.merged(len(wd.slots)).FrequentItemsAboveThreshold(threshold, et)
-}
-
-// TopK returns up to k rows with the largest estimates over the full
-// window (ties by item).
-func (wd *Windowed[T]) TopK(k int) []Row[T] {
-	return wd.merged(len(wd.slots)).TopK(k)
-}
 
 func (wd *Windowed[T]) String() string {
 	return fmt.Sprintf("freq.Windowed(intervals=%d, k=%d, head=%d, rotations=%d): N=%d",
@@ -501,10 +482,11 @@ func (wd *Windowed[T]) UnmarshalBinary(data []byte) error {
 // Windowed ring behind one mutex, safe for any number of writers,
 // readers, and one rotation driver (StartRotating attaches a wall-clock
 // ticker; Rotate remains available for manual or test-driven
-// boundaries). Row reads (TopK, FrequentItems*, the Last variants)
-// compute their result under the lock and return it, so the slices are
-// safe to keep; All holds the lock for the whole iteration — do not
-// write to the window from inside the loop.
+// boundaries). The Last reads (EstimateLast, TopKLast,
+// FrequentItemsAboveThresholdLast) merge and scan under one hold of the
+// lock and return their result, so the slices are safe to keep; All,
+// and so a Query, holds the lock for the whole scan — do not write to
+// the window from inside the loop.
 type ConcurrentWindowed[T comparable] struct {
 	mu sync.Mutex
 	wd *Windowed[T]
@@ -751,44 +733,23 @@ func (c *ConcurrentWindowed[T]) All() iter.Seq2[T, Row[T]] {
 // Query starts a composable query over the full window.
 func (c *ConcurrentWindowed[T]) Query() *Query[T] { return From[T](c) }
 
-// FrequentItems returns items qualifying against the window's own error
-// band, ordered by descending estimate.
-func (c *ConcurrentWindowed[T]) FrequentItems(et ErrorType) []Row[T] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wd.FrequentItems(et)
-}
-
-// FrequentItemsAboveThreshold returns items in the window qualifying
-// against a caller threshold under et.
-func (c *ConcurrentWindowed[T]) FrequentItemsAboveThreshold(threshold int64, et ErrorType) []Row[T] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wd.FrequentItemsAboveThreshold(threshold, et)
-}
-
-// FrequentItemsAboveThresholdLast is FrequentItemsAboveThreshold scoped
-// to the last w intervals.
+// FrequentItemsAboveThresholdLast returns the rows of the last w
+// intervals that clear threshold under et, ordered by descending
+// estimate (ties by item): Query().Where(threshold).WithErrorType(et)
+// over Last(w), with the merge and the scan under one hold of the lock.
 func (c *ConcurrentWindowed[T]) FrequentItemsAboveThresholdLast(w int, threshold int64, et ErrorType) []Row[T] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wd.merged(w).FrequentItemsAboveThreshold(threshold, et)
-}
-
-// TopK returns up to k rows with the largest estimates over the full
-// window.
-func (c *ConcurrentWindowed[T]) TopK(k int) []Row[T] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wd.TopK(k)
+	return c.wd.merged(w).Query().Where(threshold).WithErrorType(et).Collect()
 }
 
 // TopKLast returns up to k rows with the largest estimates over the
-// last w intervals.
+// last w intervals (ties by item): Query().Limit(k) over Last(w), with
+// the merge and the scan under one hold of the lock.
 func (c *ConcurrentWindowed[T]) TopKLast(w, k int) []Row[T] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wd.merged(w).TopK(k)
+	return c.wd.merged(w).Query().Limit(k).Collect()
 }
 
 // AppendBinaryLast appends the serialized merged view of the last w

@@ -212,8 +212,8 @@ func TestWindowedTopKMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := wd.Last(intervals).TopK(25)
-	want := fresh.TopK(25)
+	got := wd.Last(intervals).Query().Limit(25).Collect()
+	want := fresh.Query().Limit(25).Collect()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("windowed TopK diverges from fresh sketch\n got %v\nwant %v", got, want)
 	}
@@ -238,7 +238,7 @@ func TestWindowedRotateNoAllocsAfterWarmup(t *testing.T) {
 		wd.UpdateBatch(items)
 		wd.Rotate()
 	}
-	_ = wd.TopK(4)
+	_ = wd.Query().Limit(4).Collect()
 	if allocs := testing.AllocsPerRun(100, wd.Rotate); allocs != 0 {
 		t.Fatalf("Rotate allocates after warm-up: %v allocs/op", allocs)
 	}
@@ -250,29 +250,29 @@ func TestWindowedViewCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	wd.UpdateOne(1)
-	_ = wd.TopK(2)
+	_ = wd.Query().Limit(2).Collect()
 	base := wd.ViewMerges()
-	_ = wd.TopK(2)
+	_ = wd.Query().Limit(2).Collect()
 	_ = wd.Estimate(1)
 	_ = collectRows[int64](wd)
 	if got := wd.ViewMerges(); got != base {
 		t.Fatalf("repeated full-window reads re-merged: %d -> %d", base, got)
 	}
 	wd.UpdateOne(2)
-	_ = wd.TopK(2)
+	_ = wd.Query().Limit(2).Collect()
 	if got := wd.ViewMerges(); got == base {
 		t.Fatal("write did not invalidate the cached view")
 	}
 	base = wd.ViewMerges()
 	wd.Rotate()
-	_ = wd.TopK(2)
+	_ = wd.Query().Limit(2).Collect()
 	if got := wd.ViewMerges(); got == base {
 		t.Fatal("rotation did not invalidate the cached view")
 	}
 	// Width-scoped reads share the cache per width.
-	_ = wd.Last(2).TopK(2)
+	_ = wd.Last(2).Query().Limit(2).Collect()
 	base = wd.ViewMerges()
-	_ = wd.Last(2).TopK(2)
+	_ = wd.Last(2).Query().Limit(2).Collect()
 	if got := wd.ViewMerges(); got != base {
 		t.Fatalf("repeated Last(2) reads re-merged: %d -> %d", base, got)
 	}
@@ -367,7 +367,7 @@ func TestWindowedGenericBackend(t *testing.T) {
 	if wd.Estimate("alpha") != 10 || wd.Estimate("beta") != 5 {
 		t.Fatal("window estimates wrong on generic backend")
 	}
-	rows := wd.TopK(2)
+	rows := wd.Query().Limit(2).Collect()
 	if len(rows) != 2 || rows[0].Item != "alpha" {
 		t.Fatalf("TopK: %v", rows)
 	}

@@ -329,7 +329,7 @@ func FuzzStorePartitionDecode(f *testing.F) {
 		v, err := st.Query(base.Add(-time.Hour), base.Add(time.Hour))
 		if err == nil {
 			_ = v.StreamWeight()
-			_ = v.TopK(5)
+			_ = v.Query().Limit(5).Collect()
 		}
 		if err := st.Close(); err != nil {
 			t.Fatalf("close after fuzzed open: %v", err)

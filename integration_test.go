@@ -70,7 +70,7 @@ func TestPipelineFileToHeavyHitters(t *testing.T) {
 	}
 	phi := 0.01
 	threshold := int64(phi * float64(truthN))
-	rows := sketch.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives)
+	rows := sketch.Query().Where(threshold).WithErrorType(freq.NoFalseNegatives).Collect()
 	reported := map[int64]bool{}
 	for _, r := range rows {
 		reported[r.Item] = true
@@ -80,7 +80,7 @@ func TestPipelineFileToHeavyHitters(t *testing.T) {
 			t.Errorf("heavy item %d (freq %d) missing from NFN report", item, f)
 		}
 	}
-	for _, r := range sketch.FrequentItemsAboveThreshold(threshold, freq.NoFalsePositives) {
+	for _, r := range sketch.Query().Where(threshold).WithErrorType(freq.NoFalsePositives).Collect() {
 		if truth[r.Item] <= threshold {
 			t.Errorf("NFP report contains light item %d", r.Item)
 		}

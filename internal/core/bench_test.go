@@ -68,11 +68,16 @@ func BenchmarkEstimateHitAndMiss(b *testing.B) {
 		}
 	}
 	b.Run("hit", func(b *testing.B) {
-		rows := s.TopK(64)
+		var hits []int64
+		for r := range s.All() {
+			if hits = append(hits, r.Item); len(hits) == 64 {
+				break
+			}
+		}
 		b.ReportAllocs()
 		var sink int64
 		for i := 0; i < b.N; i++ {
-			sink += s.Estimate(rows[i&63].Item)
+			sink += s.Estimate(hits[i&63])
 		}
 		_ = sink
 	})
@@ -84,28 +89,6 @@ func BenchmarkEstimateHitAndMiss(b *testing.B) {
 		}
 		_ = sink
 	})
-}
-
-func BenchmarkFrequentItems(b *testing.B) {
-	stream := benchStream(b, 1.1)
-	s, err := New(4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, u := range stream {
-		if err := s.Update(u.Item, u.Weight); err != nil {
-			b.Fatal(err)
-		}
-	}
-	threshold := s.StreamWeight() / 1000
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := s.FrequentItemsAboveThreshold(threshold, NoFalseNegatives)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
 }
 
 func BenchmarkMergeManySmallIntoLarge(b *testing.B) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"iter"
-	"sort"
 	"strings"
 )
 
@@ -36,57 +35,6 @@ func (s *Sketch) All() iter.Seq[Row] {
 			})
 		})
 	}
-}
-
-// FrequentItems returns the assigned items that qualify as frequent under
-// errorType with the default threshold MaximumError(): under
-// NoFalsePositives these are exactly the items guaranteed to be above the
-// summary's own error band; under NoFalseNegatives, every item that could
-// possibly be. Rows are ordered by descending estimate, ties by item.
-func (s *Sketch) FrequentItems(errorType ErrorType) []Row {
-	return s.FrequentItemsAboveThreshold(s.offset, errorType)
-}
-
-// FrequentItemsAboveThreshold returns items qualifying against a caller
-// threshold (e.g. φ·N for (φ, ε)-heavy hitters, §1.2). Under
-// NoFalsePositives an item qualifies if LowerBound > threshold; under
-// NoFalseNegatives if UpperBound > threshold. The effective threshold is
-// max(threshold, MaximumError()) under NoFalsePositives semantics only in
-// the trivial sense that lower bounds below the offset can never clear a
-// threshold below it; no clamping is applied.
-func (s *Sketch) FrequentItemsAboveThreshold(threshold int64, errorType ErrorType) []Row {
-	if threshold < 0 {
-		threshold = 0
-	}
-	rows := make([]Row, 0, 16)
-	for r := range s.All() {
-		switch errorType {
-		case NoFalsePositives:
-			if r.LowerBound > threshold {
-				rows = append(rows, r)
-			}
-		default: // NoFalseNegatives
-			if r.UpperBound > threshold {
-				rows = append(rows, r)
-			}
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Estimate != rows[j].Estimate {
-			return rows[i].Estimate > rows[j].Estimate
-		}
-		return rows[i].Item < rows[j].Item
-	})
-	return rows
-}
-
-// TopK returns up to k rows with the largest estimates.
-func (s *Sketch) TopK(k int) []Row {
-	rows := s.FrequentItemsAboveThreshold(0, NoFalseNegatives)
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows
 }
 
 // String summarizes the sketch state for humans.

@@ -1,116 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/exact"
-	"repro/internal/streamgen"
-)
-
-func TestFrequentItemsSemantics(t *testing.T) {
-	// Heavy stream: a few dominant items plus noise pushed through a tiny
-	// sketch so the error band is non-trivial.
-	s := mustNew(t, Options{MaxCounters: 48, Seed: 31, DisableGrowth: true})
-	oracle := exact.New()
-	heavy := []struct{ item, weight int64 }{
-		{1, 50_000}, {2, 30_000}, {3, 20_000},
-	}
-	for _, h := range heavy {
-		_ = s.Update(h.item, h.weight)
-		oracle.Update(h.item, h.weight)
-	}
-	stream, err := streamgen.ZipfStream(0.8, 1<<12, 30_000, 10, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range stream {
-		item := u.Item + 100 // avoid colliding with the heavy items
-		_ = s.Update(item, u.Weight)
-		oracle.Update(item, u.Weight)
-	}
-
-	phi := 0.05
-	threshold := int64(phi * float64(oracle.StreamWeight()))
-
-	// NoFalsePositives: every returned item is truly above the threshold.
-	for _, r := range s.FrequentItemsAboveThreshold(threshold, NoFalsePositives) {
-		if truth := oracle.Freq(r.Item); truth <= threshold {
-			t.Errorf("NFP returned item %d with truth %d <= threshold %d", r.Item, truth, threshold)
-		}
-	}
-
-	// NoFalseNegatives: every item truly above the threshold is returned.
-	returned := map[int64]bool{}
-	for _, r := range s.FrequentItemsAboveThreshold(threshold, NoFalseNegatives) {
-		returned[r.Item] = true
-	}
-	oracle.Range(func(item, truth int64) bool {
-		if truth > threshold && !returned[item] {
-			t.Errorf("NFN missed item %d with truth %d > threshold %d", item, truth, threshold)
-		}
-		return true
-	})
-}
-
-func TestFrequentItemsOrdering(t *testing.T) {
-	s := mustNew(t, Options{MaxCounters: 64, Seed: 33})
-	for i := int64(1); i <= 10; i++ {
-		_ = s.Update(i, i*100)
-	}
-	rows := s.FrequentItemsAboveThreshold(0, NoFalseNegatives)
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Estimate > rows[i-1].Estimate {
-			t.Fatal("rows not in descending estimate order")
-		}
-	}
-	if rows[0].Item != 10 || rows[9].Item != 1 {
-		t.Errorf("unexpected extremes: %v ... %v", rows[0], rows[9])
-	}
-}
-
-func TestFrequentItemsDefaultThreshold(t *testing.T) {
-	// With no decrements the default threshold is 0 and NFN returns all
-	// active items.
-	s := mustNew(t, Options{MaxCounters: 64, Seed: 34})
-	for i := int64(0); i < 5; i++ {
-		_ = s.Update(i, 10)
-	}
-	if got := len(s.FrequentItems(NoFalseNegatives)); got != 5 {
-		t.Errorf("FrequentItems on exact sketch = %d rows, want 5", got)
-	}
-	// All items are certainly above threshold 0 too.
-	if got := len(s.FrequentItems(NoFalsePositives)); got != 5 {
-		t.Errorf("NFP rows = %d, want 5", got)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	s := mustNew(t, Options{MaxCounters: 64, Seed: 35})
-	for i := int64(1); i <= 20; i++ {
-		_ = s.Update(i, i)
-	}
-	top := s.TopK(3)
-	if len(top) != 3 {
-		t.Fatalf("TopK(3) = %d rows", len(top))
-	}
-	if top[0].Item != 20 || top[1].Item != 19 || top[2].Item != 18 {
-		t.Errorf("TopK order wrong: %v", top)
-	}
-	if got := s.TopK(100); len(got) != 20 {
-		t.Errorf("TopK(100) = %d rows, want all 20", len(got))
-	}
-}
-
-func TestNegativeThresholdClamped(t *testing.T) {
-	s := mustNew(t, Options{MaxCounters: 64, Seed: 36})
-	_ = s.Update(1, 5)
-	if got := len(s.FrequentItemsAboveThreshold(-100, NoFalseNegatives)); got != 1 {
-		t.Errorf("negative threshold rows = %d", got)
-	}
-}
+import "testing"
 
 func TestRowString(t *testing.T) {
 	r := Row{Item: 1, Estimate: 2, LowerBound: 3, UpperBound: 4}

@@ -52,15 +52,19 @@ func assertQueryEquivalent(t *testing.T, want, got *Sketch, probeItems []int64) 
 			t.Errorf("UpperBound(%d) = %d, want %d", item, g, w)
 		}
 	}
-	wantRows := want.FrequentItems(NoFalseNegatives)
-	gotRows := got.FrequentItems(NoFalseNegatives)
-	if len(wantRows) != len(gotRows) {
-		t.Fatalf("row count %d, want %d", len(gotRows), len(wantRows))
+	wantRows := map[int64]Row{}
+	for r := range want.All() {
+		wantRows[r.Item] = r
 	}
-	for i := range wantRows {
-		if wantRows[i] != gotRows[i] {
-			t.Errorf("row %d: %v, want %v", i, gotRows[i], wantRows[i])
+	n := 0
+	for r := range got.All() {
+		if w, ok := wantRows[r.Item]; !ok || r != w {
+			t.Errorf("row %v, want %v", r, w)
 		}
+		n++
+	}
+	if n != len(wantRows) {
+		t.Fatalf("row count %d, want %d", n, len(wantRows))
 	}
 }
 

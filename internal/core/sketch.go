@@ -42,33 +42,6 @@ const DefaultQuantile = 0.5
 // (3/4 of the minimum 8-slot table).
 const MinCounters = 6
 
-// ErrorType selects the heavy-hitter extraction semantics of
-// FrequentItems, mirroring the DataSketches API.
-type ErrorType int
-
-const (
-	// NoFalsePositives returns items whose lower bound exceeds the
-	// threshold: every returned item is truly above it, but items within
-	// the error band may be missed.
-	NoFalsePositives ErrorType = iota
-	// NoFalseNegatives returns items whose upper bound exceeds the
-	// threshold: every item truly above it is returned, plus possibly a
-	// small number of items within the error band below it (the "(φ, ε)-
-	// heavy hitters with false positives" guarantee of §1.2).
-	NoFalseNegatives
-)
-
-func (e ErrorType) String() string {
-	switch e {
-	case NoFalsePositives:
-		return "NoFalsePositives"
-	case NoFalseNegatives:
-		return "NoFalseNegatives"
-	default:
-		return fmt.Sprintf("ErrorType(%d)", int(e))
-	}
-}
-
 // Options configures a Sketch beyond the counter budget.
 type Options struct {
 	// MaxCounters is k, the maximum number of tracked counters. The table

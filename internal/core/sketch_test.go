@@ -377,9 +377,4 @@ func TestStringSummaries(t *testing.T) {
 	if str := smin.String(); str == "" {
 		t.Error("empty SMIN String()")
 	}
-	for _, et := range []ErrorType{NoFalsePositives, NoFalseNegatives, ErrorType(9)} {
-		if et.String() == "" {
-			t.Error("empty ErrorType string")
-		}
-	}
 }

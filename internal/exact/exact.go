@@ -34,9 +34,6 @@ func (c *Counter) Freq(item int64) int64 { return c.freqs[item] }
 // StreamWeight returns N.
 func (c *Counter) StreamWeight() int64 { return c.streamN }
 
-// NumItems returns the number of distinct items.
-func (c *Counter) NumItems() int { return len(c.freqs) }
-
 // SizeBytes approximates the footprint of the exact solution at 40 bytes
 // per distinct item (key, value, and map overhead), for the space-ratio
 // comparison of §4.1.
@@ -76,23 +73,6 @@ func (c *Counter) Residual(j int) int64 {
 		res -= it.Freq
 	}
 	return res
-}
-
-// HeavyHitters returns all items with frequency >= threshold, descending.
-func (c *Counter) HeavyHitters(threshold int64) []Item {
-	rows := make([]Item, 0, 16)
-	for item, f := range c.freqs {
-		if f >= threshold {
-			rows = append(rows, Item{item, f})
-		}
-	}
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].Freq != rows[b].Freq {
-			return rows[a].Freq > rows[b].Freq
-		}
-		return rows[a].Item < rows[b].Item
-	})
-	return rows
 }
 
 // Estimator is any summary answering point queries; all algorithms in
@@ -166,18 +146,6 @@ func (c *Counter) MaxError(e Estimator) int64 {
 		}
 	})
 	return worst
-}
-
-// MeanAbsError returns the mean of |f̂i − fi| over distinct items.
-func (c *Counter) MeanAbsError(e Estimator) float64 {
-	if len(c.freqs) == 0 {
-		return 0
-	}
-	var sum float64
-	c.forEachAbsError(e, func(d int64) {
-		sum += float64(d)
-	})
-	return sum / float64(len(c.freqs))
 }
 
 // Range visits every (item, frequency) pair in unspecified order.

@@ -19,9 +19,6 @@ func TestBasics(t *testing.T) {
 	if c.StreamWeight() != 205 {
 		t.Errorf("N = %d", c.StreamWeight())
 	}
-	if c.NumItems() != 4 {
-		t.Errorf("items = %d", c.NumItems())
-	}
 	if c.Freq(1) != 120 || c.Freq(99) != 0 {
 		t.Error("Freq")
 	}
@@ -61,17 +58,6 @@ func TestTopKTieBreak(t *testing.T) {
 	}
 }
 
-func TestHeavyHitters(t *testing.T) {
-	c := build()
-	hh := c.HeavyHitters(50)
-	if len(hh) != 2 || hh[0].Item != 1 || hh[1].Item != 2 {
-		t.Errorf("HeavyHitters = %v", hh)
-	}
-	if got := c.HeavyHitters(1000); len(got) != 0 {
-		t.Errorf("high threshold returned %v", got)
-	}
-}
-
 type fixedEstimator map[int64]int64
 
 func (f fixedEstimator) Estimate(item int64) int64 { return f[item] }
@@ -82,12 +68,7 @@ func TestErrors(t *testing.T) {
 	if got := c.MaxError(est); got != 10 {
 		t.Errorf("MaxError = %d", got)
 	}
-	// Mean over 4 items: (10 + 0 + 10 + 0)/4 = 5.
-	if got := c.MeanAbsError(est); got != 5 {
-		t.Errorf("MeanAbsError = %v", got)
-	}
-	empty := New()
-	if empty.MaxError(est) != 0 || empty.MeanAbsError(est) != 0 {
+	if New().MaxError(est) != 0 {
 		t.Error("empty counter errors")
 	}
 }

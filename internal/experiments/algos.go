@@ -95,19 +95,6 @@ type rbmcAlgo struct{ *mg.RBMC }
 
 func (a rbmcAlgo) Update(item, weight int64) { a.RBMC.Update(item, weight) }
 
-// NewMED constructs the Algorithm 3 baseline (exact median decrement).
-func NewMED(k int) Algo {
-	m, err := mg.NewMED(k, 0xFEED)
-	if err != nil {
-		panic(err)
-	}
-	return medAlgo{m}
-}
-
-type medAlgo struct{ *mg.MED }
-
-func (a medAlgo) Update(item, weight int64) { a.MED.Update(item, weight) }
-
 // NewMHE constructs the min-heap Space Saving baseline.
 func NewMHE(k int) Algo {
 	h, err := spacesaving.NewHeap(k, 0xBEEF)

@@ -219,7 +219,7 @@ func TestEqualSpaceCounters(t *testing.T) {
 }
 
 func TestAuxAlgoConstructors(t *testing.T) {
-	for _, mk := range []func(int) Algo{NewSMED, NewSMIN, NewRBMC, NewMED, NewMHE} {
+	for _, mk := range []func(int) Algo{NewSMED, NewSMIN, NewRBMC, NewMHE} {
 		a := mk(64)
 		a.Update(1, 10)
 		a.Update(1, 5)

@@ -15,23 +15,12 @@ package items
 import (
 	"fmt"
 	"iter"
-	"sort"
 
 	"repro/internal/qselect"
 )
 
 // DefaultSampleSize is ℓ (§2.3.2).
 const DefaultSampleSize = 1024
-
-// ErrorType selects heavy-hitter semantics; it mirrors the core package.
-type ErrorType int
-
-const (
-	// NoFalsePositives returns only items certainly above the threshold.
-	NoFalsePositives ErrorType = iota
-	// NoFalseNegatives returns all items possibly above the threshold.
-	NoFalseNegatives
-)
 
 // Sketch is a weighted frequent-items summary over items of type T.
 // It is not safe for concurrent use.
@@ -268,38 +257,6 @@ func (s *Sketch[T]) All() iter.Seq[Row[T]] {
 			}
 		}
 	}
-}
-
-// FrequentItems returns qualifying items against the summary's own error
-// band, ordered by descending estimate.
-func (s *Sketch[T]) FrequentItems(errorType ErrorType) []Row[T] {
-	return s.FrequentItemsAboveThreshold(s.offset, errorType)
-}
-
-// FrequentItemsAboveThreshold returns qualifying items against a caller
-// threshold (φ·N for (φ, ε)-heavy hitters).
-func (s *Sketch[T]) FrequentItemsAboveThreshold(threshold int64, errorType ErrorType) []Row[T] {
-	if threshold < 0 {
-		threshold = 0
-	}
-	rows := make([]Row[T], 0, 16)
-	for r := range s.All() {
-		if (errorType == NoFalsePositives && r.LowerBound > threshold) ||
-			(errorType == NoFalseNegatives && r.UpperBound > threshold) {
-			rows = append(rows, r)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Estimate > rows[j].Estimate })
-	return rows
-}
-
-// TopK returns up to k rows with the largest estimates.
-func (s *Sketch[T]) TopK(k int) []Row[T] {
-	rows := s.FrequentItemsAboveThreshold(0, NoFalseNegatives)
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows
 }
 
 // Reset clears the sketch, keeping its configuration.

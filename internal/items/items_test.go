@@ -177,48 +177,6 @@ func TestMergeUnderPressureBrackets(t *testing.T) {
 	})
 }
 
-func TestFrequentItemsSemantics(t *testing.T) {
-	s, _ := New[string](8)
-	oracleMap := map[string]int64{}
-	add := func(w string, n int64) {
-		_ = s.Update(w, n)
-		oracleMap[w] += n
-	}
-	add("big", 10_000)
-	add("mid", 3_000)
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 5000; i++ {
-		add(fmt.Sprintf("n%d", rng.Intn(500)), int64(rng.Intn(5)+1))
-	}
-	var n int64
-	for _, f := range oracleMap {
-		n += f
-	}
-	threshold := n / 20
-	for _, r := range s.FrequentItemsAboveThreshold(threshold, NoFalsePositives) {
-		if oracleMap[r.Item] <= threshold {
-			t.Errorf("NFP returned %q below threshold", r.Item)
-		}
-	}
-	returned := map[string]bool{}
-	for _, r := range s.FrequentItemsAboveThreshold(threshold, NoFalseNegatives) {
-		returned[r.Item] = true
-	}
-	for w, f := range oracleMap {
-		if f > threshold && !returned[w] {
-			t.Errorf("NFN missed %q (%d > %d)", w, f, threshold)
-		}
-	}
-	// Default threshold variant.
-	if len(s.FrequentItems(NoFalseNegatives)) == 0 {
-		t.Error("no rows at default threshold")
-	}
-	top := s.TopK(2)
-	if len(top) != 2 || top[0].Item != "big" {
-		t.Errorf("TopK = %v", top)
-	}
-}
-
 func TestResetGeneric(t *testing.T) {
 	s, _ := New[int](8)
 	for i := 0; i < 1000; i++ {

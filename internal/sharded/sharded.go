@@ -326,36 +326,6 @@ func (sk *Sketch) MaximumError() int64 {
 	return worst
 }
 
-// FrequentItemsAboveThreshold gathers qualifying rows from every shard.
-// Items are hash-partitioned, so the union over shards is exactly the
-// global answer under the chosen semantics.
-func (sk *Sketch) FrequentItemsAboveThreshold(threshold int64, et core.ErrorType) []core.Row {
-	var rows []core.Row
-	for i := range sk.shards {
-		sh := &sk.shards[i]
-		sh.mu.Lock()
-		rows = append(rows, sh.s.FrequentItemsAboveThreshold(threshold, et)...)
-		sh.mu.Unlock()
-	}
-	sortRows(rows)
-	return rows
-}
-
-func sortRows(rows []core.Row) {
-	// Insertion sort by descending estimate; row counts are small (a few
-	// k at most) and usually nearly sorted per shard.
-	for i := 1; i < len(rows); i++ {
-		r := rows[i]
-		j := i - 1
-		for j >= 0 && (rows[j].Estimate < r.Estimate ||
-			(rows[j].Estimate == r.Estimate && rows[j].Item > r.Item)) {
-			rows[j+1] = rows[j]
-			j--
-		}
-		rows[j+1] = r
-	}
-}
-
 // maxMergeWorkers bounds the fan-in parallelism of the view/snapshot
 // merge kernel; beyond a handful of workers the serial combine step and
 // memory bandwidth dominate.

@@ -96,7 +96,10 @@ func TestConcurrentUpdates(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			_ = sk.MaximumError()
-			_ = sk.FrequentItemsAboveThreshold(0, core.NoFalseNegatives)
+			if _, err := sk.View(); err != nil {
+				t.Error(err)
+				return
+			}
 			if _, err := sk.Snapshot(); err != nil {
 				t.Error(err)
 				return
@@ -123,27 +126,6 @@ func TestConcurrentUpdates(t *testing.T) {
 		}
 		return true
 	})
-}
-
-func TestFrequentItemsSharded(t *testing.T) {
-	sk, err := New(512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sk.Update(1, 10_000)
-	_ = sk.Update(2, 8_000)
-	for i := int64(10); i < 2000; i++ {
-		_ = sk.Update(i, 1)
-	}
-	rows := sk.FrequentItemsAboveThreshold(5000, core.NoFalseNegatives)
-	if len(rows) < 2 || rows[0].Item != 1 || rows[1].Item != 2 {
-		t.Errorf("rows = %v", rows)
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Estimate > rows[i-1].Estimate {
-			t.Error("rows not sorted")
-		}
-	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

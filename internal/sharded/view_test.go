@@ -96,19 +96,19 @@ func TestViewMatchesSnapshot(t *testing.T) {
 			t.Fatalf("item %d: snapshot %d, view %d", i, s, v)
 		}
 	}
-	rowsEqual := func(a, b []core.Row) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+	rows := map[int64]core.Row{}
+	for r := range snap.All() {
+		rows[r.Item] = r
 	}
-	if !rowsEqual(snap.TopK(10), view.TopK(10)) {
-		t.Error("snapshot and view TopK differ")
+	n := 0
+	for r := range view.All() {
+		if r != rows[r.Item] {
+			t.Errorf("view row %v, snapshot row %v", r, rows[r.Item])
+		}
+		n++
+	}
+	if n != len(rows) {
+		t.Errorf("view has %d rows, snapshot %d", n, len(rows))
 	}
 }
 
@@ -150,7 +150,8 @@ func TestViewUnderConcurrency(t *testing.T) {
 				t.Error("negative stream weight")
 				return
 			}
-			_ = v.TopK(5)
+			for range v.All() {
+			}
 		}
 	}()
 	writers.Wait()
