@@ -53,7 +53,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -102,8 +101,9 @@ func main() {
 		fatal(fmt.Errorf("-max-tenants must be positive, got %d", *maxTenants))
 	}
 
-	// Open the durable store first: it backs both the window's rotation
-	// sink and the server's RANGE commands.
+	// Open the durable store first: it is the window's rotation sink, the
+	// tenant registry's eviction sink and the history RANGE reads, in
+	// every scope.
 	var st *store.Store[int64]
 	if *storeDir != "" {
 		codec, err := store.CodecByName(*storeCodec)
@@ -128,9 +128,7 @@ func main() {
 		WindowIntervals: *window,
 		IdleTimeout:     *idleTimeout,
 		IOTimeout:       *ioTimeout,
-	}
-	if st != nil {
-		cfg.Store = st
+		Store:           st,
 	}
 
 	// The tenant registry shares the daemon's sketch geometry: each
@@ -138,10 +136,7 @@ func main() {
 	// -window is set). With -store-dir, evicted tenants' summaries are
 	// persisted under <store-dir>/tenants/<id> so TENANT RANGE sees
 	// history across evictions and restarts.
-	var (
-		mgr *tenant.Manager[int64]
-		ts  *store.Tenants[int64]
-	)
+	var mgr *tenant.Manager[int64]
 	if *tenants {
 		var err error
 		mgr, err = tenant.New[int64](tenant.Config{
@@ -155,22 +150,7 @@ func main() {
 			fatal(err)
 		}
 		if st != nil {
-			codec, err := store.CodecByName(*storeCodec)
-			if err != nil {
-				fatal(err)
-			}
-			ts, err = store.OpenTenants[int64](filepath.Join(*storeDir, "tenants"),
-				store.WithPartitionDuration(*storePart),
-				store.WithCodec(codec),
-				store.WithRetentionAge(*retention),
-				store.WithRetentionBytes(*retainBytes),
-				store.WithSync(*storeSync),
-			)
-			if err != nil {
-				fatal(err)
-			}
-			mgr.SetSink(ts)
-			cfg.TenantStore = ts
+			mgr.SetSink(st)
 		}
 		cfg.Tenants = mgr
 	}
@@ -268,16 +248,11 @@ func main() {
 
 	// Every handler has returned, so the registries hold their final
 	// state. Drain every live tenant's head slot through the sink before
-	// the stores close — a restart loses no tenant's history.
+	// the store closes — a restart loses no tenant's history.
 	if mgr != nil {
 		mts := mgr.Stats()
-		if ts != nil {
-			if err := mgr.Drain(time.Now()); err != nil {
-				fmt.Fprintln(os.Stderr, "freqd: tenant drain failed:", err)
-			}
-			if err := ts.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "freqd: tenant store close failed:", err)
-			}
+		if err := mgr.Drain(time.Now()); err != nil {
+			fmt.Fprintln(os.Stderr, "freqd: tenant drain failed:", err)
 		}
 		fmt.Fprintf(os.Stderr, "freqd: %d live tenants drained (%d created, %d evicted over the run)\n",
 			mts.Active, mts.Created, mts.Evictions)

@@ -77,15 +77,35 @@ func TestFrequentItemsSemantics(t *testing.T) {
 			}
 			truth[item] += weight
 		}
-		add(1, 50_000)
-		add(2, 30_000)
-		add(3, 20_000)
 		stream, err := streamgen.ZipfStream(0.8, 1<<12, 30_000, 10, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Size the stream so the threshold is known up front: the heavy
+		// items and the noise weigh w, and two probes of τ ± τ/50 with
+		// τ = w/18 make N = w + 2τ, so N/20 = τ.
+		w := int64(50_000 + 30_000 + 20_000)
 		for _, u := range stream {
-			add(u.Item+100, u.Weight) // clear of the heavy items
+			w += u.Weight
+		}
+		tau := w / 18
+		above, below := tau+tau/50, tau-tau/50
+		add(1, 50_000)
+		add(2, 30_000)
+		add(3, 20_000)
+		// Inserted before the noise, the probe above τ is decremented
+		// until its lower bound falls under τ: only a NoFalseNegatives
+		// filter on the upper bound still returns it.
+		add(4, above)
+		for _, u := range stream {
+			add(u.Item+100, u.Weight) // clear of the heavy items and probes
+		}
+		// Inserted after the noise, the probe below τ carries the
+		// accumulated offset in its upper bound, past τ: only a
+		// NoFalsePositives filter on the lower bound still drops it.
+		add(5, below)
+		if lb, ub := sk.LowerBound(4), sk.UpperBound(5); lb >= tau || ub <= tau {
+			t.Fatalf("probes do not straddle τ = %d (LowerBound(4) = %d, UpperBound(5) = %d), so they test neither filter", tau, lb, ub)
 		}
 		checkFrequentItems(t, sk, truth, 1)
 	})

@@ -1081,7 +1081,7 @@ func (c *Client[T]) Rotate() (rotations int64, err error) {
 func (c *Client[T]) Reset() error { return c.exec("RESET", "RESET") }
 
 // Evict asks the server to evict the handle's tenant now: its live
-// summary is persisted to the tenant store (when one is configured) and
+// summary is persisted to the server's store (when one is configured) and
 // its slot returns to the warm pool. The handle stays valid — the next
 // command recreates the tenant fresh. Not auto-retried.
 func (c *Client[T]) Evict() error { return c.exec("EVICT", "EVICT") }

@@ -46,11 +46,6 @@ func newConformancePair(t *testing.T) *conformancePair {
 		// creation order yield byte-identical per-tenant summaries, so
 		// TENANT SNAP blobs compare across framings exactly like the
 		// global SNAP.
-		ts, err := store.OpenTenants[int64](t.TempDir(), store.WithPartitionDuration(time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ts.Close() })
 		mgr, err := tenant.New[int64](tenant.Config{
 			MaxCounters:     512,
 			Shards:          2,
@@ -67,8 +62,7 @@ func newConformancePair(t *testing.T) *conformancePair {
 			WindowIntervals: 3,
 			Store:           st,
 			Seed:            conformanceSeed,
-			Tenants:         mgr.SetSink(ts),
-			TenantStore:     ts,
+			Tenants:         mgr.SetSink(st),
 		})
 		srv.Windowed().SetRotationSink(st, base)
 		return srv
@@ -386,7 +380,7 @@ func TestConformanceTenantCommands(t *testing.T) {
 	p.assertSnapEqual(t, "TENANT alice WIN 2 SNAP")
 
 	// EVICT flushes through the seeded sink on both servers; RANGE then
-	// answers from the per-tenant store partitions. (Blob-level RANGE
+	// answers from the tenant's store partitions. (Blob-level RANGE
 	// SNAP comparison is excluded for the same reason as the global
 	// suite: the store's merge accumulator seeds are per-server.)
 	p.rawBoth(t, "TENANT alice EVICT")

@@ -144,8 +144,9 @@
 // ordinary single-sketch wire format. The merged accumulator is
 // recycled per connection, so a polling loop over a stable range
 // allocates nothing after the first reply. The live head interval is
-// not visible to RANGE until it rotates. On a server with no store
-// configured, RANGE replies ERR.
+// not visible to RANGE until it rotates. TENANT <id> RANGE reads that
+// tenant's history from the same store (see "Multi-tenancy"). On a
+// server with no store configured, RANGE replies ERR in every scope.
 //
 // # Multi-tenancy
 //
@@ -175,11 +176,11 @@
 // tenant first — and idle tenants past the configured TTL are swept in
 // the background (freqd's -max-tenants and -tenant-ttl flags).
 //
-// EVICT retires a tenant immediately: when the server has a tenant
-// store (automatic with freqd's -store-dir), the evicted tenant's
-// counters are first persisted under a tenant-scoped partition prefix,
-// so TENANT <id> RANGE answers over the full history — including
-// pre-eviction generations — after the tenant is re-created. EVICT on
+// EVICT retires a tenant immediately: when the registry persists into
+// the server's store (automatic with freqd's -store-dir), the evicted
+// tenant's counters are first written under a tenant-scoped partition
+// prefix, so TENANT <id> RANGE answers over the full history —
+// including pre-eviction generations — after the tenant is re-created. EVICT on
 // an id that was never created replies ERR ("unknown tenant"); all
 // other TENANT commands create on demand. Q, TOP, and SNAPSHOT alias
 // inside TENANT exactly as they do at top level. The aliases, error

@@ -3,12 +3,13 @@
 // client refactor cannot move the test — and every reply is compared
 // with testdata/golden/transcript.txt. The main script runs against a
 // server with every subsystem on (window, durable store, tenant
-// registry, tenant store) and covers every read verb in every scope,
-// {all-time, WIN, RANGE} × {global, TENANT}, plus the mutating verbs
-// and the error surface. It ingests enough first that the summaries
-// have decremented (err>0), so the live per-shard EST bands differ
-// visibly from the merged WIN and RANGE bands. Two smaller scripts pin
-// the replies of servers running without the optional subsystems.
+// registry persisting into that store) and covers every read verb in
+// every scope, {all-time, WIN, RANGE} × {global, TENANT}, plus the
+// mutating verbs and the error surface. It ingests enough first that
+// the summaries have decremented (err>0), so the live per-shard EST
+// bands differ visibly from the merged WIN and RANGE bands. Two smaller
+// scripts pin the replies of servers running without the optional
+// subsystems.
 //
 // SNAP blobs are recorded as digests. RANGE SNAP blobs are left out:
 // the store's merge accumulator draws a random hash seed, so only its
@@ -351,11 +352,6 @@ func goldenServer(t *testing.T, kind string) *testServer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	ts, err := store.OpenTenants[int64](t.TempDir(), store.WithPartitionDuration(century))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ts.Close() })
 	mgr, err := tenant.New[int64](tenant.Config{
 		MaxCounters: 32, Shards: 2, WindowIntervals: 3, Seed: goldenSeed, MaxTenants: 16,
 	})
@@ -364,7 +360,7 @@ func goldenServer(t *testing.T, kind string) *testServer {
 	}
 	srv := startServer(t, Config{
 		MaxCounters: 64, Shards: 2, WindowIntervals: 3, Seed: goldenSeed,
-		Store: st, Tenants: mgr.SetSink(ts), TenantStore: ts,
+		Store: st, Tenants: mgr.SetSink(st),
 	})
 	srv.Windowed().SetRotationSink(st, goldenT0)
 	return srv

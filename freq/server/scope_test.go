@@ -37,18 +37,18 @@ func dialFraming(t *testing.T, srv *testServer, framing string) *Client[int64] {
 }
 
 // startScopedServer boots a server with a window and tenants whose
-// evictions persist to a tenant store, so every scope is servable.
+// evictions persist to the store, so every scope is servable.
 func startScopedServer(t *testing.T) *testServer {
 	t.Helper()
-	ts, err := store.OpenTenants[int64](t.TempDir(), store.WithPartitionDuration(time.Minute))
+	st, err := store.Open[int64](t.TempDir(), store.WithPartitionDuration(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ts.Close() })
+	t.Cleanup(func() { st.Close() })
 	mgr := newTestManager(t, tenant.Config{WindowIntervals: 3})
 	return startServer(t, Config{
 		MaxCounters: 512, Shards: 2, WindowIntervals: 3,
-		Tenants: mgr.SetSink(ts), TenantStore: ts,
+		Store: st, Tenants: mgr.SetSink(st),
 	})
 }
 

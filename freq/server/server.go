@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/freq"
+	"repro/freq/store"
 	"repro/freq/tenant"
 )
 
@@ -32,19 +33,17 @@ type Config struct {
 	// last w intervals, and ROTATE (or Server.Rotate, driven by freqd's
 	// ticker) advances the window. Zero disables windowing.
 	WindowIntervals int
-	// Store, when set, backs the RANGE command family with a durable
-	// history of retired window slots (typically a *store.Store[int64]
-	// installed as the window's rotation sink). Nil disables RANGE.
-	Store RangeStore
+	// Store, when set, backs the RANGE command family with durable
+	// history: RANGE reads its default history of retired window slots
+	// (the store installed as the window's rotation sink), and TENANT
+	// <id> RANGE reads that tenant's history (the store installed as the
+	// tenant registry's sink). Nil disables RANGE in every scope.
+	Store *store.Store[int64]
 	// Tenants, when set, enables the TENANT command family: every
 	// command scoped by a "TENANT <id>" prefix runs against that
 	// tenant's own summary pair from the manager's registry instead of
 	// the global pair. Nil disables tenant scoping.
 	Tenants *tenant.Manager[int64]
-	// TenantStore, when set, backs TENANT-scoped RANGE queries with each
-	// tenant's durable history (typically a *store.Tenants[int64] also
-	// installed as the manager's eviction sink). Nil disables them.
-	TenantStore TenantRangeStore
 	// Seed, when nonzero, pins the sketch hash seeds: two servers built
 	// with the same Seed and geometry hold byte-identical summary state
 	// after identical update streams, so their SNAP encodings compare
@@ -64,35 +63,18 @@ type Config struct {
 	IOTimeout time.Duration
 }
 
-// RangeStore is the historical query surface the RANGE commands serve
-// from: merge every persisted slot overlapping [from, to) into dst
-// (cleared and reused when large enough, else replaced) and return the
-// accumulator. *store.Store[int64] satisfies it.
-type RangeStore interface {
-	QueryInto(dst *freq.Sketch[int64], from, to time.Time) (*freq.Sketch[int64], error)
-}
-
-// TenantRangeStore is the tenant-scoped analogue of RangeStore: merge
-// one tenant's persisted history overlapping [from, to) into dst.
-// *store.Tenants[int64] satisfies it.
-type TenantRangeStore interface {
-	QueryTenantInto(id string, dst *freq.Sketch[int64], from, to time.Time) (*freq.Sketch[int64], error)
-}
-
 // Server owns the live summary and serves the line protocol.
 type Server struct {
 	sketch *freq.Concurrent[int64]
 	// win is the optional sliding-window twin of the summary; nil when
 	// Config.WindowIntervals is zero.
 	win *freq.ConcurrentWindowed[int64]
-	// store is the optional durable history behind RANGE; nil disables it.
-	store RangeStore
+	// store is the optional durable history behind RANGE in every
+	// scope; nil disables it.
+	store *store.Store[int64]
 	// tenants is the optional per-tenant registry behind the TENANT
 	// command family; nil disables it.
 	tenants *tenant.Manager[int64]
-	// tenantStore is the optional per-tenant durable history behind
-	// TENANT-scoped RANGE; nil disables it.
-	tenantStore TenantRangeStore
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -142,7 +124,6 @@ func New(cfg Config) (*Server, error) {
 		sketch:      sk,
 		store:       cfg.Store,
 		tenants:     cfg.Tenants,
-		tenantStore: cfg.TenantStore,
 		conns:       map[net.Conn]*connState{},
 		idleTimeout: cfg.IdleTimeout,
 		ioTimeout:   cfg.IOTimeout,
@@ -178,17 +159,13 @@ func (s *Server) Tenants() *tenant.Manager[int64] { return s.tenants }
 // without a sliding window.
 var ErrNoWindow = errors.New("server: no window configured (set Config.WindowIntervals)")
 
-// ErrNoStore rejects RANGE commands on a server configured without a
-// durable store.
+// ErrNoStore rejects RANGE commands, global or tenant-scoped, on a
+// server configured without a durable store.
 var ErrNoStore = errors.New("server: no store configured (set Config.Store)")
 
 // ErrNoTenants rejects TENANT commands on a server configured without a
 // tenant registry.
 var ErrNoTenants = errors.New("server: no tenants configured (set Config.Tenants)")
-
-// ErrNoTenantStore rejects TENANT-scoped RANGE commands on a server
-// configured without a per-tenant durable store.
-var ErrNoTenantStore = errors.New("server: no tenant store configured (set Config.TenantStore)")
 
 // Rotate advances the sliding window one interval — the hook a
 // rotation driver (freqd's wall-clock ticker, a test, an operator via
@@ -541,9 +518,9 @@ func (s *Server) handle(nc net.Conn, st *connState) {
 // dispatch: the global summaries, or the tenant a "TENANT <id>" prefix
 // acquired for exactly the duration of the command, so an eviction can
 // never recycle the tables out from under a command in flight. Either
-// way it is an all-time sketch, its optional window twin and an
-// optional stored history (the global store, or the tenant store keyed
-// by id), so each verb is implemented once for both.
+// way it is an all-time sketch, its optional window twin and, keyed by
+// id, a history in the optional store, so each verb is implemented once
+// for both.
 type scope struct {
 	sk  *freq.Concurrent[int64]
 	win *freq.ConcurrentWindowed[int64]
@@ -709,8 +686,8 @@ func (c *conn) dispatch(line string) (quit bool, err error) {
 			sc.sk.StreamWeight(), sc.sk.MaximumError(), sc.sk.NumShards(), slots)
 		if sc.ten == nil {
 			partitions := 0
-			if pc, ok := s.store.(interface{ PartitionCount() int }); ok {
-				partitions = pc.PartitionCount()
+			if s.store != nil {
+				partitions = s.store.PartitionCount()
 			}
 			var ts tenant.Stats
 			if s.tenants != nil {
@@ -1034,17 +1011,14 @@ func (c *conn) read(src source, usage, kind, verb string, args []string) error {
 }
 
 // readRange serves one RANGE-scoped read: the scope's persisted slots
-// overlapping [from, to), merged into one summary — the global store's
-// history, or the tenant store's for a tenant scope. The merge reuses
-// the connection's accumulator, so polling a stable range costs no
-// allocation.
+// overlapping [from, to), merged into one summary — the store's default
+// history for the global scope (id ""), the tenant's for a tenant
+// scope. The merge reuses the connection's accumulator, so polling a
+// stable range costs no allocation.
 func (c *conn) readRange(sc scope, args []string) error {
 	s := c.srv
-	if sc.ten == nil && s.store == nil {
+	if s.store == nil {
 		return ErrNoStore
-	}
-	if sc.ten != nil && s.tenantStore == nil {
-		return ErrNoTenantStore
 	}
 	if len(args) < 3 {
 		return errors.New("usage: RANGE <from> <to> <EST|TOPK|FI|SNAP> ...")
@@ -1060,12 +1034,7 @@ func (c *conn) readRange(sc scope, args []string) error {
 	if !to.After(from) {
 		return errors.New("empty range: to must be after from")
 	}
-	var sk *freq.Sketch[int64]
-	if sc.ten == nil {
-		sk, err = s.store.QueryInto(c.rangeSk, from, to)
-	} else {
-		sk, err = s.tenantStore.QueryTenantInto(sc.id, c.rangeSk, from, to)
-	}
+	sk, err := s.store.QueryTenantInto(sc.id, c.rangeSk, from, to)
 	if sk != nil {
 		c.rangeSk = sk
 	}

@@ -147,7 +147,7 @@ func TestTenantErrors(t *testing.T) {
 	if _, err := c.Raw("TENANT alice WIN 1 EST 1"); err == nil || !strings.Contains(err.Error(), "window") {
 		t.Fatalf("tenant WIN without window: %v", err)
 	}
-	if _, err := c.Raw("TENANT alice RANGE 0 1 EST 1"); err == nil || !strings.Contains(err.Error(), "no tenant store") {
+	if _, err := c.Raw("TENANT alice RANGE 0 1 EST 1"); err == nil || !strings.Contains(err.Error(), "no store configured") {
 		t.Fatalf("tenant RANGE without store: %v", err)
 	}
 
@@ -339,16 +339,16 @@ func mustSketch(t *testing.T, pairs map[int64]int64) *freq.Sketch[int64] {
 // ingest again into the fresh recycled tables, and read history back
 // with TENANT RANGE — which must see the pre-eviction weight.
 func TestTenantEvictionPersistsToStore(t *testing.T) {
-	ts, err := store.OpenTenants[int64](t.TempDir(), store.WithPartitionDuration(time.Minute))
+	st, err := store.Open[int64](t.TempDir(), store.WithPartitionDuration(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
-	mgr := newTestManager(t, tenant.Config{}).SetSink(ts)
+	defer st.Close()
+	mgr := newTestManager(t, tenant.Config{}).SetSink(st)
 	srv := startServer(t, Config{
 		MaxCounters: 512, Shards: 2,
-		Tenants:     mgr,
-		TenantStore: ts,
+		Store:   st,
+		Tenants: mgr,
 	})
 	c := dial(t, srv)
 	alice, err := c.Tenant("alice")

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Codec is the pluggable block compression of the partition format:
@@ -12,9 +13,11 @@ import (
 // needs no configuration to decode. IDs are part of the on-disk format
 // and must never be reassigned.
 //
-// Implementations need not be safe for concurrent use: the store
-// serializes all encoding under its write lock and gives each decode
-// worker its own decoder state (the built-in codecs decode statelessly).
+// Implementations must be safe for concurrent use: a store's default
+// history and its tenant histories encode through the one configured
+// codec under locks of their own, and range queries decode on parallel
+// workers. The built-in codecs are: LZ guards its match table inside
+// Encode, and both decode statelessly.
 type Codec interface {
 	// ID is the codec's wire identifier, stamped into each block header.
 	ID() uint8
@@ -69,10 +72,12 @@ const lzTableBits = 14
 // of small-magnitude little-endian counters whose high zero bytes
 // repeat at stride 8. The encoder keeps one hash table per codec
 // instance (construct with NewLZ; the zero value is valid but allocates
-// its table on first use), so steady-state appends allocate nothing.
-// Decode is stateless and strict: any out-of-range offset or truncated
-// token is an error, never a panic.
+// its table on first use), so steady-state appends allocate nothing;
+// concurrent Encode calls take turns on it. Decode is stateless and
+// strict: any out-of-range offset or truncated token is an error, never
+// a panic.
 type LZ struct {
+	mu    sync.Mutex
 	table *[1 << lzTableBits]int32
 }
 
@@ -89,6 +94,8 @@ func lzHash(v uint32) uint32 {
 
 // Encode appends the LZ encoding of src to dst.
 func (c *LZ) Encode(dst, src []byte) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.table == nil {
 		c.table = new([1 << lzTableBits]int32)
 	}
@@ -167,17 +174,6 @@ func (*LZ) Decode(dst, src []byte) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// builtinCodec returns a fresh decoder for a block's recorded codec ID.
-func builtinCodec(id uint8) (Codec, error) {
-	switch id {
-	case codecIDNone:
-		return None{}, nil
-	case codecIDLZ:
-		return &LZ{}, nil
-	}
-	return nil, fmt.Errorf("store: unknown codec id %d", id)
 }
 
 // CodecByName resolves a codec by its human name — the flag-parsing

@@ -12,12 +12,15 @@
 // same lossless fold (Theorem 5 of the paper) the window itself uses,
 // served through the same freq.Queryable surface.
 //
-// Layout: one directory per store. Each partition file covers one
-// wall-clock bucket (WithPartitionDuration) and holds self-delimiting,
-// CRC-32C-guarded, optionally compressed blocks, one per retired slot.
-// A MANIFEST.json records membership; block-level truth is always
-// rebuilt by scanning, so recovery after any crash truncates at most a
-// torn tail block. Retention (by age and/or byte budget) and
+// Layout: one directory per store holds the default history — the
+// window's retired slots — and tenants/<escaped-id>/ one more history
+// per tenant, laid out the same way and written by AppendTenant, the
+// sink freq/tenant persists evicted tenants through. In each history,
+// a partition file covers one wall-clock bucket (WithPartitionDuration)
+// and holds self-delimiting, CRC-32C-guarded, optionally compressed
+// blocks, one per retired slot. A MANIFEST.json records membership;
+// block-level truth is always rebuilt by scanning, so recovery after
+// any crash truncates at most a torn tail block. Retention (by age and/or byte budget) and
 // compaction (folding old fine-grained partitions into coarser ones)
 // keep the footprint bounded.
 //

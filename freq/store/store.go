@@ -32,7 +32,6 @@ type options struct {
 	retainAge   time.Duration
 	retainBytes int64
 	sync        bool
-	workers     int
 }
 
 // Option configures a store at Open.
@@ -102,19 +101,6 @@ func WithSync(on bool) Option {
 	}
 }
 
-// WithQueryWorkers bounds the partition-decode worker pool a range
-// query fans out over (default min(4, GOMAXPROCS)); 1 decodes inline on
-// the querying goroutine.
-func WithQueryWorkers(n int) Option {
-	return func(o *options) error {
-		if n < 1 {
-			return fmt.Errorf("store: worker count must be positive, got %d", n)
-		}
-		o.workers = n
-		return nil
-	}
-}
-
 // Store is a durable, append-only, time-partitioned log of retired
 // sketch slots: the on-disk continuation of a Windowed ring. It
 // implements freq.RotationSink, so installing it on a window
@@ -122,9 +108,16 @@ func WithQueryWorkers(n int) Option {
 // finishes; Query then serves arbitrary historical ranges through the
 // same freq.Queryable surface the live window serves.
 //
+// Beside this default history, a Store keeps one history per tenant
+// under <dir>/tenants/<escaped-id>/ (AppendTenant, QueryTenantInto):
+// the durable side of freq/tenant's eviction, so an evicted tenant's
+// summary survives churn and restarts.
+//
 // A Store is safe for concurrent use: appends and maintenance serialize
 // behind a write lock, queries share a read lock and fan partition
-// decoding out over a bounded worker pool.
+// decoding out over a bounded worker pool. Tenant histories sit behind
+// a lock of their own that the default history never takes, so a
+// tenant append or query never stalls the window's rotation sink.
 type Store[T comparable] struct {
 	dir   string
 	opt   options
@@ -147,6 +140,19 @@ type Store[T comparable] struct {
 	workerWG    sync.WaitGroup
 	qPool       sync.Pool // *rangeQuery[T]
 	scratchPool sync.Pool // *scratch[T]
+
+	// tmu guards the tenant histories: each is a Store of its own,
+	// opened on first use and closed least recently used beyond
+	// maxOpen (its manifest committed), to reopen on the next touch.
+	tmu sync.Mutex
+	//freq:guardedBy(tmu)
+	tenants map[string]*tenantEntry[T]
+	//freq:guardedBy(tmu)
+	tenantUse uint64
+	//freq:guardedBy(tmu)
+	maxOpen int
+	//freq:guardedBy(tmu)
+	tenantsClosed bool
 }
 
 // job is one unit of query fan-out: decode the overlapping blocks of
@@ -194,18 +200,22 @@ type scratch[T comparable] struct {
 // and a torn tail from a crashed append is truncated away. Files the
 // manifest does not reference — leftovers of an interrupted roll,
 // compaction, or retention pass — are removed; with no manifest at all,
-// every scannable partition file in dir is adopted.
+// every scannable partition file in dir is adopted. Recovery skips
+// directories, so the tenants/ subtree is neither adopted nor removed;
+// tenant histories open with the same options on their first touch.
 func Open[T comparable](dir string, opts ...Option) (*Store[T], error) {
-	opt := options{
-		span:    time.Minute,
-		codec:   NewLZ(),
-		workers: min(4, runtime.GOMAXPROCS(0)),
-	}
+	opt := options{span: time.Minute, codec: NewLZ()}
 	for _, o := range opts {
 		if err := o(&opt); err != nil {
 			return nil, err
 		}
 	}
+	return open[T](dir, opt)
+}
+
+// open opens the history in dir with resolved options: the default
+// history at Open, a tenant's history on its first touch.
+func open[T comparable](dir string, opt options) (*Store[T], error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -236,6 +246,8 @@ func Open[T comparable](dir string, opts ...Option) (*Store[T], error) {
 		dir:      dir,
 		opt:      opt,
 		decoders: map[uint8]Codec{codecIDNone: None{}, codecIDLZ: &LZ{}},
+		tenants:  map[string]*tenantEntry[T]{},
+		maxOpen:  defaultMaxOpen,
 	}
 	st.decoders[opt.codec.ID()] = opt.codec
 	type keyed struct {
@@ -277,9 +289,9 @@ func Open[T comparable](dir string, opts ...Option) (*Store[T], error) {
 		st.closeFilesLocked()
 		return nil, err
 	}
-	if opt.workers > 1 {
-		st.jobs = make(chan job[T], opt.workers)
-		for i := 0; i < opt.workers; i++ {
+	if workers := min(4, runtime.GOMAXPROCS(0)); workers > 1 {
+		st.jobs = make(chan job[T], workers)
+		for i := 0; i < workers; i++ {
 			st.workerWG.Add(1)
 			go st.worker()
 		}
@@ -288,8 +300,9 @@ func Open[T comparable](dir string, opts ...Option) (*Store[T], error) {
 }
 
 // SetSerDe installs the item codec used when the store holds sketches
-// over a type without a built-in codec, and returns st for chaining.
-// Install it before the first append or query.
+// over a type without a built-in codec, for the default history and
+// every tenant history, and returns st for chaining. Install it before
+// the first append or query.
 func (st *Store[T]) SetSerDe(sd freq.SerDe[T]) *Store[T] {
 	st.mu.Lock()
 	st.serde = sd
@@ -455,21 +468,9 @@ func (st *Store[T]) QueryInto(dst *freq.Sketch[T], from, to time.Time) (*freq.Sk
 			}
 		}
 	}
-	need = max(min(need, maxQueryBudget), 1)
-	if dst == nil || dst.MaxCounters() < need {
-		var err error
-		dst, err = freq.New[T](need)
-		if err != nil {
-			return nil, err
-		}
-		if st.serde != nil {
-			dst.SetSerDe(st.serde)
-		}
-	} else {
-		dst.Clear()
-	}
-	if nparts == 0 {
-		return dst, nil
+	dst, err := st.accumulator(dst, max(min(need, maxQueryBudget), 1))
+	if err != nil || nparts == 0 {
+		return dst, err
 	}
 	q, _ := st.qPool.Get().(*rangeQuery[T])
 	if q == nil {
@@ -493,7 +494,7 @@ func (st *Store[T]) QueryInto(dst *freq.Sketch[T], from, to time.Time) (*freq.Sk
 		}
 		st.scratchPool.Put(sc)
 	}
-	err := q.err
+	err = q.err
 	q.dst, q.err = nil, nil
 	st.qPool.Put(q)
 	return dst, err
@@ -507,6 +508,23 @@ func (st *Store[T]) worker() {
 		st.processPartition(j.q, j.p, sc)
 		j.q.wg.Done()
 	}
+}
+
+// accumulator returns dst cleared for reuse when its budget covers
+// need, else a fresh sketch of that budget carrying the store's SerDe.
+func (st *Store[T]) accumulator(dst *freq.Sketch[T], need int) (*freq.Sketch[T], error) {
+	if dst != nil && dst.MaxCounters() >= need {
+		dst.Clear()
+		return dst, nil
+	}
+	sk, err := freq.New[T](need)
+	if err != nil {
+		return nil, err
+	}
+	if st.serde != nil {
+		sk.SetSerDe(st.serde)
+	}
+	return sk, nil
 }
 
 func (st *Store[T]) getScratch() *scratch[T] {
@@ -552,15 +570,10 @@ func (st *Store[T]) processPartition(q *rangeQuery[T], p *partition, sc *scratch
 			return
 		}
 		if sc.sk == nil {
-			sk, err := freq.New[T](1)
-			if err != nil {
+			if sc.sk, err = st.accumulator(nil, 1); err != nil {
 				q.fail(err)
 				return
 			}
-			if st.serde != nil {
-				sk.SetSerDe(st.serde)
-			}
-			sc.sk = sk
 		}
 		if err := sc.sk.UnmarshalBinary(raw); err != nil {
 			q.fail(fmt.Errorf("store: %s: %w", p.name, err))
@@ -641,12 +654,9 @@ func (st *Store[T]) compactGroupLocked(bucket int64, span time.Duration, group [
 		}
 	}
 	need = max(min(need, maxQueryBudget), 1)
-	merged, err := freq.New[T](need)
+	merged, err := st.accumulator(nil, need)
 	if err != nil {
 		return err
-	}
-	if st.serde != nil {
-		merged.SetSerDe(st.serde)
 	}
 	q := &rangeQuery[T]{from: from, to: to, dst: merged}
 	sc := st.getScratch()
@@ -823,7 +833,7 @@ type Stats struct {
 	From, To time.Time
 }
 
-// Stats returns the store's current coverage and footprint.
+// Stats returns the default history's current coverage and footprint.
 func (st *Store[T]) Stats() Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -851,28 +861,33 @@ func (st *Store[T]) Stats() Stats {
 	return s
 }
 
-// PartitionCount returns the live partition file count — the cheap
-// subset of Stats the server's STATS reply reports on every call.
+// PartitionCount returns the default history's live partition file
+// count — the cheap subset of Stats the server's STATS reply reports on
+// every call.
 func (st *Store[T]) PartitionCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.parts)
 }
 
-// Close syncs and closes every partition file, commits a final
-// manifest, and stops the worker pool. A closed store rejects further
-// operations; Close is idempotent.
+// Close closes the open tenant histories, then syncs and closes every
+// partition file of the default history, commits its final manifest,
+// and stops the worker pool. A closed store rejects further operations;
+// Close is idempotent.
 func (st *Store[T]) Close() error {
+	err := st.closeTenants()
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
-		return nil
+		return err
 	}
 	st.closed = true
 	if st.jobs != nil {
 		close(st.jobs)
 	}
-	err := writeManifest(st.dir, st.manifestLocked(), true)
+	if e := writeManifest(st.dir, st.manifestLocked(), true); err == nil {
+		err = e
+	}
 	if e := st.closeFilesLocked(); err == nil {
 		err = e
 	}

@@ -4,49 +4,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/freq"
 )
 
-// defaultMaxOpenTenants bounds how many per-tenant stores a Tenants
-// registry keeps open at once; the least recently used is closed (its
-// manifest committed) and transparently reopened on the next touch.
-const defaultMaxOpenTenants = 64
+// defaultMaxOpen bounds how many tenant histories a Store keeps open
+// at once; the least recently used is closed (its manifest committed)
+// and transparently reopened on the next touch.
+const defaultMaxOpen = 64
 
-// Tenants is a keyed registry of per-tenant Stores under one root
-// directory: each tenant's history lives in its own partition directory
-// at <dir>/<escaped-id>/, opened lazily on first append or query. It is
-// the durable side of tenant eviction — freq/tenant's Manager persists
-// a retiring tenant's summary here (Tenants implements its
-// SnapshotSink), so an evicted tenant's history survives churn and
-// TENANT-scoped RANGE queries can replay it.
-//
-// Directory names escape the tenant id (see escapeTenantID), so any
-// wire-legal id maps to a filesystem-safe, collision-free path, and the
-// registry root can sit beside (or inside) a global Store directory:
-// Store recovery ignores directories entirely.
-//
-// Tenants is safe for concurrent use. One mutex serializes the whole
-// registry — appends happen at eviction/drain time and queries at RANGE
-// time, both cold paths, so contention is not a concern and the
-// simplicity buys crash-consistency per tenant store.
-type Tenants[T comparable] struct {
-	dir   string
-	opts  []Option
-	serde freq.SerDe[T]
-
-	mu sync.Mutex
-	//freq:guardedBy(mu)
-	open map[string]*tenantEntry[T]
-	//freq:guardedBy(mu)
-	use uint64
-	//freq:guardedBy(mu)
-	maxOpen int
-	//freq:guardedBy(mu)
-	closed bool
-}
+// tenantsDir is the subdirectory of a store's root holding one
+// directory per tenant history.
+const tenantsDir = "tenants"
 
 type tenantEntry[T comparable] struct {
 	st *Store[T]
@@ -54,65 +24,59 @@ type tenantEntry[T comparable] struct {
 	used uint64
 }
 
-// OpenTenants opens (creating if needed) a tenant store registry rooted
-// at dir. opts parameterize every per-tenant store the registry opens —
-// partition duration, codec, retention, sync — exactly as Open does for
-// a single store.
-func OpenTenants[T comparable](dir string, opts ...Option) (*Tenants[T], error) {
-	// Validate the options once up front so a bad option fails at
-	// startup, not at the first eviction.
-	var o options
-	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
+// AppendTenant persists one summary view into id's history as a slot
+// covering [start, end) — the tenant.SnapshotSink hand-off. The empty
+// id is the default history (AppendSlot). The view is serialized before
+// this returns, per that interface's contract.
+func (st *Store[T]) AppendTenant(id string, v *freq.View[T], start, end time.Time) error {
+	if id == "" {
+		return st.AppendSlot(v, start, end)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create tenant root: %w", err)
+	st.tmu.Lock()
+	defer st.tmu.Unlock()
+	ts, err := st.tenantLocked(id, true)
+	if err != nil {
+		return err
 	}
-	return &Tenants[T]{
-		dir:     dir,
-		opts:    opts,
-		open:    make(map[string]*tenantEntry[T]),
-		maxOpen: defaultMaxOpenTenants,
-	}, nil
+	return ts.AppendSlot(v, start, end)
 }
 
-// SetSerDe installs the item codec stamped onto every per-tenant store
-// (required for item types without a built-in codec). Returns ts for
-// chaining; install before the first append or query.
-func (ts *Tenants[T]) SetSerDe(sd freq.SerDe[T]) *Tenants[T] {
-	ts.serde = sd
-	return ts
-}
-
-// SetMaxOpen bounds the open per-tenant store cache (default 64; at
-// least 1). Returns ts for chaining.
-func (ts *Tenants[T]) SetMaxOpen(n int) *Tenants[T] {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if n < 1 {
-		n = 1
+// QueryTenantInto merges id's stored history overlapping [from, to)
+// into dst under QueryInto's recycling contract (dst cleared and reused
+// when big enough, else replaced; pass the result back in). The empty
+// id is the default history. A tenant with no stored history answers
+// like an empty range: a cleared accumulator and no error.
+func (st *Store[T]) QueryTenantInto(id string, dst *freq.Sketch[T], from, to time.Time) (*freq.Sketch[T], error) {
+	if id == "" {
+		return st.QueryInto(dst, from, to)
 	}
-	ts.maxOpen = n
-	return ts
+	st.tmu.Lock()
+	defer st.tmu.Unlock()
+	ts, err := st.tenantLocked(id, false)
+	if err != nil {
+		return dst, err
+	}
+	if ts == nil {
+		return st.accumulator(dst, 1)
+	}
+	return ts.QueryInto(dst, from, to)
 }
 
-// storeLocked returns id's open store, opening (and LRU-closing) as
+// tenantLocked returns id's open history, opening (and LRU-closing) as
 // needed. create controls whether a tenant with no on-disk history gets
 // a directory: appends create, queries must not litter.
 //
-//freq:locked(mu)
-func (ts *Tenants[T]) storeLocked(id string, create bool) (*Store[T], error) {
-	if ts.closed {
+//freq:locked(tmu)
+func (st *Store[T]) tenantLocked(id string, create bool) (*Store[T], error) {
+	if st.tenantsClosed {
 		return nil, ErrClosed
 	}
-	if e, ok := ts.open[id]; ok {
-		ts.use++
-		e.used = ts.use
+	if e, ok := st.tenants[id]; ok {
+		st.tenantUse++
+		e.used = st.tenantUse
 		return e.st, nil
 	}
-	dir := filepath.Join(ts.dir, escapeTenantID(id))
+	dir := filepath.Join(st.dir, tenantsDir, escapeTenantID(id))
 	if !create {
 		if _, err := os.Stat(dir); os.IsNotExist(err) {
 			return nil, nil
@@ -120,30 +84,28 @@ func (ts *Tenants[T]) storeLocked(id string, create bool) (*Store[T], error) {
 			return nil, err
 		}
 	}
-	for len(ts.open) >= ts.maxOpen {
-		if err := ts.closeLRULocked(); err != nil {
+	for len(st.tenants) >= st.maxOpen {
+		if err := st.closeLRULocked(); err != nil {
 			return nil, err
 		}
 	}
-	st, err := Open[T](dir, ts.opts...)
+	ts, err := open[T](dir, st.opt)
 	if err != nil {
 		return nil, fmt.Errorf("store: tenant %q: %w", id, err)
 	}
-	if ts.serde != nil {
-		st.SetSerDe(ts.serde)
-	}
-	ts.use++
-	ts.open[id] = &tenantEntry[T]{st: st, used: ts.use}
-	return st, nil
+	ts.serde = st.serde
+	st.tenantUse++
+	st.tenants[id] = &tenantEntry[T]{st: ts, used: st.tenantUse}
+	return ts, nil
 }
 
-// closeLRULocked closes the least recently touched open store.
+// closeLRULocked closes the least recently touched open tenant history.
 //
-//freq:locked(mu)
-func (ts *Tenants[T]) closeLRULocked() error {
+//freq:locked(tmu)
+func (st *Store[T]) closeLRULocked() error {
 	var victimID string
 	var victim *tenantEntry[T]
-	for id, e := range ts.open {
+	for id, e := range st.tenants {
 		if victim == nil || e.used < victim.used {
 			victimID, victim = id, e
 		}
@@ -151,129 +113,31 @@ func (ts *Tenants[T]) closeLRULocked() error {
 	if victim == nil {
 		return nil
 	}
-	delete(ts.open, victimID)
+	delete(st.tenants, victimID)
 	return victim.st.Close()
 }
 
-// AppendTenant persists one summary view into id's store as a slot
-// covering [start, end) — the tenant.SnapshotSink hand-off. The view is
-// serialized before this returns, per that interface's contract.
-func (ts *Tenants[T]) AppendTenant(id string, v *freq.View[T], start, end time.Time) error {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	st, err := ts.storeLocked(id, true)
-	if err != nil {
-		return err
-	}
-	return st.AppendSlot(v, start, end)
-}
-
-// QueryTenantInto merges id's stored history overlapping [from, to)
-// into dst, mirroring Store.QueryInto's recycling contract (dst cleared
-// and reused when big enough, else replaced; pass the result back in).
-// A tenant with no stored history answers like an empty store: a
-// cleared accumulator and no error.
-func (ts *Tenants[T]) QueryTenantInto(id string, dst *freq.Sketch[T], from, to time.Time) (*freq.Sketch[T], error) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	st, err := ts.storeLocked(id, false)
-	if err != nil {
-		return dst, err
-	}
-	if st == nil {
-		// Never persisted: the empty-range answer, shaped exactly like
-		// QueryInto over a store with no overlapping partitions.
-		if dst == nil {
-			dst, err = freq.New[T](1)
-			if err != nil {
-				return nil, err
-			}
-			if ts.serde != nil {
-				dst.SetSerDe(ts.serde)
-			}
-			return dst, nil
+// closeTenants closes every open tenant history; later tenant appends
+// and queries return ErrClosed.
+func (st *Store[T]) closeTenants() error {
+	st.tmu.Lock()
+	defer st.tmu.Unlock()
+	st.tenantsClosed = true
+	var err error
+	for id, e := range st.tenants {
+		if e2 := e.st.Close(); e2 != nil && err == nil {
+			err = e2
 		}
-		dst.Clear()
-		return dst, nil
+		delete(st.tenants, id)
 	}
-	return st.QueryInto(dst, from, to)
+	return err
 }
 
-// TenantStats returns the on-disk Stats for one tenant's store, zero
-// when the tenant has no stored history.
-func (ts *Tenants[T]) TenantStats(id string) (Stats, error) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	st, err := ts.storeLocked(id, false)
-	if err != nil || st == nil {
-		return Stats{}, err
-	}
-	return st.Stats(), nil
-}
-
-// TenantIDs lists every tenant with on-disk history, in directory
-// order. Entries that do not round-trip the escaping (foreign files in
-// the root) are skipped.
-func (ts *Tenants[T]) TenantIDs() ([]string, error) {
-	ts.mu.Lock()
-	dir := ts.dir
-	ts.mu.Unlock()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
-		id, ok := unescapeTenantID(e.Name())
-		if !ok {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
-
-// PartitionCount sums live partition files across every open tenant
-// store — the registry's contribution to the server's STATS reply.
-// Closed (LRU-evicted) tenants' partitions are not counted; this is an
-// occupancy signal, not an exhaustive disk census.
-func (ts *Tenants[T]) PartitionCount() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	n := 0
-	for _, e := range ts.open {
-		n += e.st.Stats().Partitions
-	}
-	return n
-}
-
-// Close closes every open tenant store, committing their manifests.
-// Further operations return ErrClosed; Close is idempotent.
-func (ts *Tenants[T]) Close() error {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.closed {
-		return nil
-	}
-	ts.closed = true
-	var firstErr error
-	for id, e := range ts.open {
-		if err := e.st.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		delete(ts.open, id)
-	}
-	return firstErr
-}
-
-// hexDigits spells escape bytes; escapeTenantID / unescapeTenantID
-// round-trip any wire-legal tenant id through a filesystem-safe
-// directory name: [A-Za-z0-9_-] and non-leading '.' pass through,
-// everything else (including '%' itself and a leading '.', which would
-// otherwise hide the directory or collide with "..") becomes %XX.
+// hexDigits spells escape bytes. escapeTenantID maps any wire-legal
+// tenant id to a filesystem-safe, collision-free directory name:
+// [A-Za-z0-9_-] and non-leading '.' pass through, everything else
+// (including '%' itself and a leading '.', which would otherwise hide
+// the directory or collide with "..") becomes %XX.
 const hexDigits = "0123456789ABCDEF"
 
 func escapeTenantID(id string) string {
@@ -298,40 +162,4 @@ func escapeTenantID(id string) string {
 		return id
 	}
 	return string(b)
-}
-
-func unescapeTenantID(name string) (string, bool) {
-	b := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c != '%' {
-			b = append(b, c)
-			continue
-		}
-		if i+2 >= len(name) {
-			return "", false
-		}
-		hi, lo := unhex(name[i+1]), unhex(name[i+2])
-		if hi < 0 || lo < 0 {
-			return "", false
-		}
-		b = append(b, byte(hi<<4|lo))
-		i += 2
-	}
-	id := string(b)
-	// Only canonical names round-trip: anything else is a foreign file.
-	if escapeTenantID(id) != name {
-		return "", false
-	}
-	return id, true
-}
-
-func unhex(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return -1
 }

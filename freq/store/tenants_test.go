@@ -3,7 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,21 +26,21 @@ func tenantView(t *testing.T, pairs map[int64]int64) *freq.View[int64] {
 
 func TestTenantsAppendQueryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ts, err := OpenTenants[int64](dir, WithPartitionDuration(time.Minute))
+	st, err := Open[int64](dir, WithPartitionDuration(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := time.Unix(1_700_000_000, 0)
-	if err := ts.AppendTenant("alice", tenantView(t, map[int64]int64{7: 100}), base, base.Add(time.Second)); err != nil {
+	if err := st.AppendTenant("alice", tenantView(t, map[int64]int64{7: 100}), base, base.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.AppendTenant("alice", tenantView(t, map[int64]int64{7: 50, 9: 25}), base.Add(time.Second), base.Add(2*time.Second)); err != nil {
+	if err := st.AppendTenant("alice", tenantView(t, map[int64]int64{7: 50, 9: 25}), base.Add(time.Second), base.Add(2*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.AppendTenant("bob", tenantView(t, map[int64]int64{7: 1}), base, base.Add(time.Second)); err != nil {
+	if err := st.AppendTenant("bob", tenantView(t, map[int64]int64{7: 1}), base, base.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	sk, err := ts.QueryTenantInto("alice", nil, base, base.Add(time.Hour))
+	sk, err := st.QueryTenantInto("alice", nil, base, base.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,60 +51,57 @@ func TestTenantsAppendQueryRoundTrip(t *testing.T) {
 		t.Fatalf("alice Estimate(9) = %d, want 25", got)
 	}
 	// Recycling contract: passing the result back clears and reuses it.
-	sk2, err := ts.QueryTenantInto("bob", sk, base, base.Add(time.Hour))
+	sk2, err := st.QueryTenantInto("bob", sk, base, base.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sk2.Estimate(7); got != 1 {
 		t.Fatalf("bob Estimate(7) = %d, want 1", got)
 	}
-	if ts.PartitionCount() == 0 {
-		t.Fatal("PartitionCount = 0 with two live tenant stores")
+	// Tenant slots stay out of the default history.
+	if got := st.PartitionCount(); got != 0 {
+		t.Fatalf("default PartitionCount = %d after tenant-only appends, want 0", got)
 	}
-	if err := ts.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Idempotent close; closed registry rejects work.
-	if err := ts.Close(); err != nil {
+	// Idempotent close; a closed store rejects tenant work too.
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.AppendTenant("alice", tenantView(t, map[int64]int64{1: 1}), base, base.Add(time.Second)); err != ErrClosed {
+	if err := st.AppendTenant("alice", tenantView(t, map[int64]int64{1: 1}), base, base.Add(time.Second)); err != ErrClosed {
 		t.Fatalf("append after close: err = %v, want ErrClosed", err)
+	}
+	if _, err := st.QueryTenantInto("alice", nil, base, base.Add(time.Hour)); err != ErrClosed {
+		t.Fatalf("query after close: err = %v, want ErrClosed", err)
 	}
 
 	// Reopen: history survives per tenant.
-	ts2, err := OpenTenants[int64](dir, WithPartitionDuration(time.Minute))
+	st2, err := Open[int64](dir, WithPartitionDuration(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts2.Close()
-	sk3, err := ts2.QueryTenantInto("alice", nil, base, base.Add(time.Hour))
+	defer st2.Close()
+	sk3, err := st2.QueryTenantInto("alice", nil, base, base.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sk3.Estimate(7); got != 150 {
 		t.Fatalf("reopened alice Estimate(7) = %d, want 150", got)
 	}
-	ids, err := ts2.TenantIDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(ids)
-	if len(ids) != 2 || ids[0] != "alice" || ids[1] != "bob" {
-		t.Fatalf("TenantIDs = %v, want [alice bob]", ids)
-	}
 }
 
 func TestTenantsUnknownTenantAnswersEmpty(t *testing.T) {
-	ts, err := OpenTenants[int64](t.TempDir())
+	dir := t.TempDir()
+	st, err := Open[int64](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
+	defer st.Close()
 	base := time.Unix(1_700_000_000, 0)
 	// nil dst: a fresh minimal accumulator, no error, and — critically —
 	// no directory littered for a tenant that never persisted anything.
-	sk, err := ts.QueryTenantInto("ghost", nil, base, base.Add(time.Hour))
+	sk, err := st.QueryTenantInto("ghost", nil, base, base.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,47 +112,41 @@ func TestTenantsUnknownTenantAnswersEmpty(t *testing.T) {
 	if err := sk.Update(1, 5); err != nil {
 		t.Fatal(err)
 	}
-	sk, err = ts.QueryTenantInto("ghost", sk, base, base.Add(time.Hour))
+	sk, err = st.QueryTenantInto("ghost", sk, base, base.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sk.StreamWeight() != 0 {
 		t.Fatal("unknown tenant query must clear the reused accumulator")
 	}
-	ents, err := os.ReadDir(filepath.Join(ts.dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("query littered the tenant root: %v", ents)
-	}
-	st, err := ts.TenantStats("ghost")
-	if err != nil || st.Partitions != 0 {
-		t.Fatalf("TenantStats(ghost) = %+v, %v; want zero stats", st, err)
+	if _, err := os.Stat(filepath.Join(dir, tenantsDir)); !os.IsNotExist(err) {
+		t.Fatalf("query littered the store root with %s/: stat err = %v", tenantsDir, err)
 	}
 }
 
 func TestTenantsLRUBoundsOpenStores(t *testing.T) {
-	ts, err := OpenTenants[int64](t.TempDir(), WithPartitionDuration(time.Minute))
+	st, err := Open[int64](t.TempDir(), WithPartitionDuration(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
-	ts.SetMaxOpen(2)
+	defer st.Close()
+	st.tmu.Lock()
+	st.maxOpen = 2
+	st.tmu.Unlock()
 	base := time.Unix(1_700_000_000, 0)
 	for _, id := range []string{"a", "b", "c", "d"} {
-		if err := ts.AppendTenant(id, tenantView(t, map[int64]int64{3: 7}), base, base.Add(time.Second)); err != nil {
+		if err := st.AppendTenant(id, tenantView(t, map[int64]int64{3: 7}), base, base.Add(time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ts.mu.Lock()
-	open := len(ts.open)
-	ts.mu.Unlock()
+	st.tmu.Lock()
+	open := len(st.tenants)
+	st.tmu.Unlock()
 	if open > 2 {
-		t.Fatalf("%d stores open, want <= 2", open)
+		t.Fatalf("%d tenant histories open, want <= 2", open)
 	}
 	// An LRU-closed tenant reopens transparently with its history intact.
-	sk, err := ts.QueryTenantInto("a", nil, base, base.Add(time.Hour))
+	sk, err := st.QueryTenantInto("a", nil, base, base.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,26 +166,34 @@ func TestTenantIDEscaping(t *testing.T) {
 		"~":          "%7E",
 	}
 	for id, want := range cases {
-		got := escapeTenantID(id)
-		if got != want {
+		if got := escapeTenantID(id); got != want {
 			t.Errorf("escapeTenantID(%q) = %q, want %q", id, got, want)
 		}
-		back, ok := unescapeTenantID(got)
-		if !ok || back != id {
-			t.Errorf("unescapeTenantID(%q) = %q, %v; want %q", got, back, ok, id)
-		}
 	}
-	// Foreign names that are not canonical escapes do not round-trip.
-	for _, name := range []string{"%", "%G1", "bad%", "%2e", "has space"} {
-		if id, ok := unescapeTenantID(name); ok {
-			t.Errorf("unescapeTenantID(%q) accepted as %q, want rejection", name, id)
-		}
+	// An appended id lands in exactly its escaped directory.
+	dir := t.TempDir()
+	st, err := Open[int64](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	base := time.Unix(1_700_000_000, 0)
+	if err := st.AppendTenant("mixed/Id:1", tenantView(t, map[int64]int64{1: 1}), base, base.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, tenantsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "mixed%2FId%3A1" || !ents[0].IsDir() {
+		t.Fatalf("tenant directories = %v, want the single directory mixed%%2FId%%3A1", ents)
 	}
 }
 
-// TestTenantsBesideGlobalStore locks the layout invariant the daemon
-// relies on: the tenant registry lives inside the global store's
-// directory, and the global store's recovery scan and janitor ignore it.
+// TestTenantsBesideGlobalStore locks the on-disk layout: the default
+// history's partitions sit in the store root and each tenant's in
+// tenants/<escaped-id>/, and reopening the root neither adopts nor
+// removes the tenant subtree.
 func TestTenantsBesideGlobalStore(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open[int64](dir, WithPartitionDuration(time.Minute))
@@ -205,39 +204,87 @@ func TestTenantsBesideGlobalStore(t *testing.T) {
 	if err := st.AppendSlot(tenantView(t, map[int64]int64{1: 10}), base, base.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := OpenTenants[int64](filepath.Join(dir, "tenants"), WithPartitionDuration(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.AppendTenant("alice", tenantView(t, map[int64]int64{2: 20}), base, base.Add(time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.Close(); err != nil {
+	if err := st.AppendTenant("alice", tenantView(t, map[int64]int64{2: 20}), base, base.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen the global store: recovery must neither adopt nor delete
-	// the tenants subtree.
+	for _, d := range []string{dir, filepath.Join(dir, tenantsDir, "alice")} {
+		parts, err := filepath.Glob(filepath.Join(d, "part-*"+partSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != 1 {
+			t.Fatalf("%s holds partitions %v, want exactly one", d, parts)
+		}
+	}
+
 	st2, err := Open[int64](dir, WithPartitionDuration(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := st2.PartitionCount(); got != 1 {
-		t.Fatalf("global PartitionCount after reopen = %d, want 1", got)
+	for _, c := range []struct {
+		id   string
+		item int64
+		want int64
+	}{{"", 1, 10}, {"alice", 2, 20}} {
+		sk, err := st2.QueryTenantInto(c.id, nil, base, base.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sk.Estimate(c.item); got != c.want || sk.StreamWeight() != c.want {
+			t.Fatalf("history %q after reopen: Estimate(%d) = %d, weight %d; want %d alone",
+				c.id, c.item, got, sk.StreamWeight(), c.want)
+		}
 	}
-	ts2, err := OpenTenants[int64](filepath.Join(dir, "tenants"), WithPartitionDuration(time.Minute))
+}
+
+// TestConcurrentDefaultAndTenantAppends appends to the default history
+// and to a tenant history at once through one LZ codec instance. The
+// two histories append under separate locks, so under -race this pins
+// that the codec's match table is guarded, and afterwards that neither
+// history lost or gained a slot.
+func TestConcurrentDefaultAndTenantAppends(t *testing.T) {
+	st, err := Open[int64](t.TempDir(), WithPartitionDuration(time.Minute), WithCodec(NewLZ()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts2.Close()
-	sk, err := ts2.QueryTenantInto("alice", nil, base, base.Add(time.Hour))
-	if err != nil {
+	defer st.Close()
+	weights := map[int64]int64{}
+	for i := int64(0); i < 48; i++ {
+		weights[i] = 3
+	}
+	const slots = 40
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, id := range []string{"", "alice"} {
+		v := tenantView(t, weights)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range slots {
+				start := base.Add(time.Duration(i) * time.Second)
+				if err := st.AppendTenant(id, v, start, start.Add(time.Second)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := sk.Estimate(2); got != 20 {
-		t.Fatalf("tenant history after global reopen: Estimate(2) = %d, want 20", got)
+	for _, id := range []string{"", "alice"} {
+		sk, err := st.QueryTenantInto(id, nil, base, base.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sk.StreamWeight(), int64(slots*48*3); got != want {
+			t.Fatalf("history %q weight = %d, want %d", id, got, want)
+		}
 	}
 }

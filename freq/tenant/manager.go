@@ -10,9 +10,9 @@
 // MaxTenants caps the registry (capacity pressure evicts the idlest
 // unreferenced tenant), and IdleTTL retires tenants nobody has touched
 // lately. Eviction is not loss when a SnapshotSink is installed: the
-// retiring tenant's summary is persisted first (freq/store's Tenants
-// registry files it under a tenant-scoped directory), so an evicted
-// tenant's history survives and RANGE-style queries can replay it.
+// retiring tenant's summary is persisted first (a freq/store Store
+// files it under a tenant-scoped directory), so an evicted tenant's
+// history survives and RANGE-style queries can replay it.
 //
 // Handles are reference counted: Acquire pins a tenant for the duration
 // of one command and Release unpins it, and only unreferenced tenants
@@ -85,8 +85,8 @@ func validIDBytes(id []byte) bool {
 // SnapshotSink receives a retiring tenant's merged summary at eviction
 // and drain time — the durable hand-off. The view aliases manager-owned
 // state and is valid only for the duration of the call; implementations
-// that keep the data must serialize it before returning (freq/store's
-// Tenants registry appends it to the tenant's partition directory).
+// that keep the data must serialize it before returning (a freq/store
+// Store appends it to the tenant's partition directory).
 type SnapshotSink[T comparable] interface {
 	AppendTenant(id string, v *freq.View[T], start, end time.Time) error
 }
