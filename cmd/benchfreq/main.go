@@ -1,6 +1,7 @@
 // Command benchfreq runs the repository's canonical performance kernels
 // — Update, UpdateBatch, Merge, Serialize/Deserialize, View, QueryTopK,
-// WindowedRotate, WindowedTopK, StoreAppend, StoreQueryRange,
+// WindowedRotate, WindowedTopK, WindowedTopKLast, WindowedTopKLastFlat,
+// StoreAppend, StoreQueryRange,
 // TenantChurn, EstimateBatch, and the daemon-side network ingest pair
 // ServerIngestText64/ServerIngestBinary64 — and emits the results
 // as BENCH_core.json (the
@@ -42,6 +43,7 @@ import (
 	"repro/freq/tenant"
 	"repro/internal/core"
 	"repro/internal/sharded"
+	"repro/internal/streamgen"
 )
 
 // kernel is one named benchmark.
@@ -278,6 +280,18 @@ func kernels() []kernel {
 				}
 			}
 		}},
+		{"WindowedTopKLast", func(b *testing.B) {
+			// The dashboard read, WIN 5 TOPK 64, over five full slots of
+			// a Zipf 1.1 stream: the top 64 certify from each slot's 128
+			// largest counters, so an op scans the head (the sealed
+			// slots' lists are kept) and merges nothing.
+			benchTopKLast(b, true)
+		}},
+		{"WindowedTopKLastFlat", func(b *testing.B) {
+			// The same read over a flat stream: the certificate fails, so
+			// an op pays the head scan and then the five-way merge.
+			benchTopKLast(b, false)
+		}},
 		{"StoreAppend", func(b *testing.B) {
 			// Steady-state durable-store append: one retired slot encoded
 			// (alloc-free AppendBinary), LZ-compressed into the store's
@@ -412,6 +426,51 @@ func kernels() []kernel {
 				dst = s.EstimateBatch(items, dst)
 			}
 		}},
+	}
+}
+
+// benchTopKLast times ConcurrentWindowed.TopKLast(5, 64) on five full
+// slots of budget 24576 (the dashboard geometry), filled from a Zipf
+// 1.1 stream when skewed, else from a flat one. Every op follows a
+// write, as a live window's reads do, so no merge is served from the
+// view cache.
+func benchTopKLast(b *testing.B, skewed bool) {
+	const k, slots, perSlot, universe = 24576, 5, 1 << 16, 1 << 20
+	cw, err := freq.NewConcurrentWindowed[int64](k, slots, freq.WithSeed(15))
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := make([]int64, slots*perSlot)
+	weights := make([]int64, len(items))
+	if skewed {
+		stream, err := streamgen.ZipfStream(1.1, universe, len(items), 100, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, u := range stream {
+			items[i], weights[i] = u.Item, u.Weight
+		}
+	} else {
+		for i := range items {
+			items[i], weights[i] = synthItem(int64(i), universe), int64(i%100+1)
+		}
+	}
+	for s := range slots {
+		if err := cw.UpdateWeightedBatch(items[s*perSlot:(s+1)*perSlot], weights[s*perSlot:(s+1)*perSlot]); err != nil {
+			b.Fatal(err)
+		}
+		if s < slots-1 {
+			cw.Rotate()
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cw.UpdateOne(items[i%len(items)])
+		b.StartTimer()
+		if rows := cw.TopKLast(slots, 64); len(rows) != 64 {
+			b.Fatalf("%d rows", len(rows))
+		}
 	}
 }
 

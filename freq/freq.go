@@ -250,6 +250,22 @@ func (s *Sketch[T]) UpperBound(item T) int64 {
 	return s.slow.UpperBound(item)
 }
 
+// appendLargest appends the min(n, NumActive) tracked items with the
+// largest counters (their LowerBounds) to dst as (item, counter) pairs,
+// in unspecified order; every counter left out is no larger than the
+// smallest one appended. The fast path runs the table-scan kernel; the
+// generic path selects through the query layer, whose order on a single
+// sketch is the counter order.
+func (s *Sketch[T]) appendLargest(dst []pair[T], n int) []pair[T] {
+	if s.fast != nil {
+		return fromPairSlice[T](s.fast.AppendLargest(asPairSlice(dst), n))
+	}
+	for _, r := range s.Query().Limit(max(n, 0)).Collect() {
+		dst = append(dst, pair[T]{r.Item, r.LowerBound})
+	}
+	return dst
+}
+
 // MaximumError returns the additive error band of any estimate:
 // UpperBound(x) - LowerBound(x) for every tracked item x.
 func (s *Sketch[T]) MaximumError() int64 {

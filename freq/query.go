@@ -130,7 +130,7 @@ func itemCompare[T comparable](a, b T) int {
 // re-reads the source. A Query is not safe for concurrent use; queries
 // are cheap to build, so make one per need.
 type Query[T comparable] struct {
-	src          Queryable[T]
+	src          rowSource[T]
 	threshold    int64
 	hasThreshold bool
 	et           ErrorType
@@ -143,8 +143,30 @@ type Query[T comparable] struct {
 
 // From starts a query over src with the defaults: no threshold,
 // NoFalseNegatives semantics, OrderEstimateDesc, no limit or offset.
-func From[T comparable](src Queryable[T]) *Query[T] {
+func From[T comparable](src Queryable[T]) *Query[T] { return fromRows[T](src) }
+
+// rowSource is the one method a Query reads: every Queryable, and the
+// rowList a window ranks its candidate rows from.
+type rowSource[T comparable] interface {
+	All() iter.Seq2[T, Row[T]]
+}
+
+// fromRows is From over any row source.
+func fromRows[T comparable](src rowSource[T]) *Query[T] {
 	return &Query[T]{src: src, et: NoFalseNegatives, order: OrderEstimateDesc, limit: -1}
+}
+
+// rowList is a slice of rows served as a row source.
+type rowList[T comparable] []Row[T]
+
+func (rs rowList[T]) All() iter.Seq2[T, Row[T]] {
+	return func(yield func(T, Row[T]) bool) {
+		for _, r := range rs {
+			if !yield(r.Item, r) {
+				return
+			}
+		}
+	}
 }
 
 // Where keeps only rows clearing threshold under the query's ErrorType

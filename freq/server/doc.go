@@ -105,7 +105,11 @@
 // freqd's -window flag) maintains a rotating ring of per-interval
 // sketches alongside the all-time summary; every update lands in both.
 // WIN scopes a read to the merged view of the last <w> window intervals
-// (w >= 1, clamped to the ring size):
+// (w >= 1, clamped to the ring size). The merge is lossless, so the
+// server builds it only where it must: WIN EST sums one lookup per
+// interval, and WIN TOPK ranks from each interval's 2k largest counters
+// and merges only when that cannot certify the top k (flat traffic);
+// WIN FI and WIN SNAP merge. Every reply equals the merged view's:
 //
 //	WIN <w> EST <item>            windowed point query   -> "EST <estimate> <lower> <upper>"
 //	WIN <w> TOPK <k>              windowed top k         -> MULTI block

@@ -900,9 +900,11 @@ func (l liveSource) appendBinary(dst []byte) ([]byte, error) {
 	return v.AppendBinary(dst)
 }
 
-// windowSource reads the merged view of the last width intervals of a
-// window, each read under one hold of the window lock — so an EST
-// triple describes one window state.
+// windowSource answers as the merged view of the last width intervals
+// of a window: EST and TOPK from the slots themselves (the merge only
+// when TOPK cannot certify its rows), FI and SNAP from the merge. Each
+// read holds the window lock once, so an EST triple describes one
+// window state.
 type windowSource struct {
 	win   *freq.ConcurrentWindowed[int64]
 	width int

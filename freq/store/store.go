@@ -115,9 +115,10 @@ func WithSync(on bool) Option {
 //
 // A Store is safe for concurrent use: appends and maintenance serialize
 // behind a write lock, queries share a read lock and fan partition
-// decoding out over a bounded worker pool. Tenant histories sit behind
-// a lock of their own that the default history never takes, so a
-// tenant append or query never stalls the window's rotation sink.
+// decoding out over a bounded worker pool, which the tenant histories
+// share. Tenant histories sit behind a lock of their own that the
+// default history never takes, so a tenant append or query never
+// stalls the window's rotation sink.
 type Store[T comparable] struct {
 	dir   string
 	opt   options
@@ -136,6 +137,8 @@ type Store[T comparable] struct {
 	cmpBuf []byte
 	hdrBuf []byte
 
+	// jobs feeds the decode workers Open starts for the default history;
+	// its tenant histories send on the same channel and own no workers.
 	jobs        chan job[T]
 	workerWG    sync.WaitGroup
 	qPool       sync.Pool // *rangeQuery[T]
@@ -156,10 +159,11 @@ type Store[T comparable] struct {
 }
 
 // job is one unit of query fan-out: decode the overlapping blocks of
-// one partition into the query's accumulator.
+// one partition of history st into the query's accumulator.
 type job[T comparable] struct {
-	q *rangeQuery[T]
-	p *partition
+	st *Store[T]
+	q  *rangeQuery[T]
+	p  *partition
 }
 
 // rangeQuery is the shared state of one Query execution.
@@ -210,7 +214,18 @@ func Open[T comparable](dir string, opts ...Option) (*Store[T], error) {
 			return nil, err
 		}
 	}
-	return open[T](dir, opt)
+	st, err := open[T](dir, opt)
+	if err != nil {
+		return nil, err
+	}
+	if workers := min(4, runtime.GOMAXPROCS(0)); workers > 1 {
+		st.jobs = make(chan job[T], workers)
+		for range workers {
+			st.workerWG.Add(1)
+			go st.worker()
+		}
+	}
+	return st, nil
 }
 
 // open opens the history in dir with resolved options: the default
@@ -288,13 +303,6 @@ func open[T comparable](dir string, opt options) (*Store[T], error) {
 	if err := writeManifest(dir, st.manifestLocked(), opt.sync); err != nil {
 		st.closeFilesLocked()
 		return nil, err
-	}
-	if workers := min(4, runtime.GOMAXPROCS(0)); workers > 1 {
-		st.jobs = make(chan job[T], workers)
-		for i := 0; i < workers; i++ {
-			st.workerWG.Add(1)
-			go st.worker()
-		}
 	}
 	return st, nil
 }
@@ -481,7 +489,7 @@ func (st *Store[T]) QueryInto(dst *freq.Sketch[T], from, to time.Time) (*freq.Sk
 		for _, p := range st.parts {
 			if p.overlaps(f, t) {
 				q.wg.Add(1)
-				st.jobs <- job[T]{q: q, p: p}
+				st.jobs <- job[T]{st: st, q: q, p: p}
 			}
 		}
 		q.wg.Wait()
@@ -500,12 +508,13 @@ func (st *Store[T]) QueryInto(dst *freq.Sketch[T], from, to time.Time) (*freq.Sk
 	return dst, err
 }
 
-// worker drains partition-decode jobs for the life of the store.
+// worker drains partition-decode jobs, the default history's and its
+// tenant histories', for the life of the store.
 func (st *Store[T]) worker() {
 	defer st.workerWG.Done()
 	sc := &scratch[T]{}
 	for j := range st.jobs {
-		st.processPartition(j.q, j.p, sc)
+		j.st.processPartition(j.q, j.p, sc)
 		j.q.wg.Done()
 	}
 }
@@ -870,30 +879,38 @@ func (st *Store[T]) PartitionCount() int {
 	return len(st.parts)
 }
 
-// Close closes the open tenant histories, then syncs and closes every
-// partition file of the default history, commits its final manifest,
-// and stops the worker pool. A closed store rejects further operations;
-// Close is idempotent.
+// Close closes the open tenant histories, then the default history, and
+// only then stops the worker pool they share. A closed store rejects
+// further operations; Close is idempotent.
 func (st *Store[T]) Close() error {
 	err := st.closeTenants()
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return err
-	}
-	st.closed = true
-	if st.jobs != nil {
-		close(st.jobs)
-	}
-	if e := writeManifest(st.dir, st.manifestLocked(), true); err == nil {
+	closed, e := st.closeHistory()
+	if err == nil {
 		err = e
 	}
+	if closed && st.jobs != nil {
+		close(st.jobs)
+		st.workerWG.Wait()
+	}
+	return err
+}
+
+// closeHistory syncs and closes every partition file and commits the
+// final manifest, leaving the worker pool to Close; it reports whether
+// this call closed the history. Once it returns no query of this
+// history sends another job.
+func (st *Store[T]) closeHistory() (bool, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed {
+		return false, nil
+	}
+	st.closed = true
+	err := writeManifest(st.dir, st.manifestLocked(), true)
 	if e := st.closeFilesLocked(); err == nil {
 		err = e
 	}
-	st.mu.Unlock()
-	st.workerWG.Wait()
-	return err
+	return true, err
 }
 
 // closeFilesLocked syncs and closes every partition file handle.

@@ -94,6 +94,7 @@ func (st *Store[T]) tenantLocked(id string, create bool) (*Store[T], error) {
 		return nil, fmt.Errorf("store: tenant %q: %w", id, err)
 	}
 	ts.serde = st.serde
+	ts.jobs = st.jobs
 	st.tenantUse++
 	st.tenants[id] = &tenantEntry[T]{st: ts, used: st.tenantUse}
 	return ts, nil
@@ -114,7 +115,8 @@ func (st *Store[T]) closeLRULocked() error {
 		return nil
 	}
 	delete(st.tenants, victimID)
-	return victim.st.Close()
+	_, err := victim.st.closeHistory()
+	return err
 }
 
 // closeTenants closes every open tenant history; later tenant appends
@@ -125,7 +127,7 @@ func (st *Store[T]) closeTenants() error {
 	st.tenantsClosed = true
 	var err error
 	for id, e := range st.tenants {
-		if e2 := e.st.Close(); e2 != nil && err == nil {
+		if _, e2 := e.st.closeHistory(); e2 != nil && err == nil {
 			err = e2
 		}
 		delete(st.tenants, id)

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -286,5 +288,42 @@ func TestConcurrentDefaultAndTenantAppends(t *testing.T) {
 		if got, want := sk.StreamWeight(), int64(slots*48*3); got != want {
 			t.Fatalf("history %q weight = %d, want %d", id, got, want)
 		}
+	}
+}
+
+// TestTenantHistoriesShareDecodePool: tenant histories decode on the
+// default history's workers instead of starting their own, so 64 open
+// tenant histories add no goroutines, and their ranges fan out over
+// that pool with exact answers.
+func TestTenantHistoriesShareDecodePool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	st, err := Open[int64](t.TempDir(), WithPartitionDuration(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	before := runtime.NumGoroutine()
+	t0 := time.Unix(1_700_000_000, 0)
+	const tenants, parts = 64, 3
+	for i := range tenants {
+		for p := range parts { // one partition per minute: queries fan out
+			start := t0.Add(time.Duration(p) * time.Minute)
+			v := tenantView(t, map[int64]int64{7: int64(i + 1), int64(100 + p): 10})
+			if err := st.AppendTenant(fmt.Sprintf("t%02d", i), v, start, start.Add(time.Second)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range tenants {
+		sk, err := st.QueryTenantInto(fmt.Sprintf("t%02d", i), nil, t0, t0.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sk.Estimate(7), int64(parts*(i+1)); got != want || sk.Estimate(101) != 10 {
+			t.Fatalf("tenant %d: Estimate(7) = %d, Estimate(101) = %d, want %d and 10", i, got, sk.Estimate(101), want)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 2 {
+		t.Fatalf("%d open tenant histories added %d goroutines", tenants, grew)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"iter"
 	"sync"
 	"time"
+
+	"repro/internal/qselect"
 )
 
 // Windowed is the sliding-window heavy-hitters summary: a ring of
@@ -17,9 +19,12 @@ import (
 // Writes land in the head interval through the ordinary batched hot
 // path; Rotate retires the oldest interval and recycles its sketch
 // in place as the new head (core slot recycling — after the ring is
-// warm a rotation allocates nothing); reads answer from a merged view
-// of the last w intervals, cached by write epoch so repeated queries
-// with no interleaved writes or rotations re-merge nothing.
+// warm a rotation allocates nothing). The Queryable methods and Last(w)
+// answer from a merged view of the last w intervals, cached by write
+// epoch so repeated queries with no interleaved writes or rotations
+// re-merge nothing; ConcurrentWindowed's TopKLast and EstimateLast read
+// the covered slots directly and give the merged view's answers without
+// building it (TopKLast merges only when it cannot certify the top k).
 //
 //	wd, _ := freq.NewWindowed[uint64](4096, 60)      // 60 intervals of 4096 counters
 //	go every(time.Second, wd.Rotate)                 // caller-driven rotation
@@ -47,14 +52,25 @@ type Windowed[T comparable] struct {
 	epoch     uint64
 	rotations int64
 
-	// view is the reusable merged read sketch (budget = sum of slot
-	// budgets, so window merges never evict); cleared in place and
-	// rebuilt when a query needs a width/epoch the cache doesn't hold.
+	// view is the reusable merged read sketch behind the Queryable
+	// methods, Last, and the FI and SNAP reads (budget = sum of the
+	// slots' MaxCounters, so window merges never evict); cleared in place
+	// and rebuilt when a read needs a width/epoch the cache doesn't hold.
+	// EstimateLast never builds it, and TopKLast only when it cannot
+	// certify its rows.
 	view       *Sketch[T]
 	viewEpoch  uint64
 	viewWidth  int
 	viewOK     bool
 	viewMerges int64
+
+	// topK's scratch, reused across reads: each slot's largest
+	// counters, what the lists say about each listed item, the listed
+	// lower bounds θ is selected from, and the rows that may rank.
+	tops  []slotTop[T]
+	lists map[T]listed
+	lbs   []int64
+	cands []Row[T]
 
 	// sink, when set, receives each retiring head slot at rotation —
 	// the durable-store hook: the slot's contents are persisted before
@@ -114,7 +130,7 @@ func NewWindowed[T comparable](k, intervals int, opts ...Option) (*Windowed[T], 
 		}
 	}
 	viewCfg := cfg
-	viewCfg.k = cfg.k * intervals
+	viewCfg.k = viewBudget(wd.slots)
 	if cfg.seed != 0 {
 		viewCfg.seed = deriveSeed(cfg.seed, uint64(intervals)+1)
 	}
@@ -122,6 +138,18 @@ func NewWindowed[T comparable](k, intervals int, opts ...Option) (*Windowed[T], 
 		return nil, err
 	}
 	return wd, nil
+}
+
+// viewBudget is the merged view's counter budget: the sum of the slot
+// budgets (MaxCounters, which the fast path rounds up from k), so a
+// merge of every slot never decrements and the view's counter for an
+// item is the sum of its slot counters.
+func viewBudget[T comparable](slots []*Sketch[T]) int {
+	k := 0
+	for _, s := range slots {
+		k += s.MaxCounters()
+	}
+	return k
 }
 
 // deriveSeed decorrelates a pinned seed across ring slots (SplitMix64
@@ -165,6 +193,15 @@ func (wd *Windowed[T]) Rotations() int64 { return wd.rotations }
 // head slot accessor, shared by the write paths.
 func (wd *Windowed[T]) headSlot() *Sketch[T] { return wd.slots[wd.head] }
 
+// width clamps a read's interval count to [1, N].
+func (wd *Windowed[T]) width(w int) int { return min(max(w, 1), len(wd.slots)) }
+
+// recent returns the i-th newest interval's sketch; 0 is the head.
+func (wd *Windowed[T]) recent(i int) *Sketch[T] {
+	n := len(wd.slots)
+	return wd.slots[(wd.head-i+n)%n]
+}
+
 // Rotate advances the window one interval: the oldest interval falls
 // out of scope and its sketch is recycled in place as the new (empty)
 // head — O(table) state clearing, no allocation once the ring is warm.
@@ -206,6 +243,9 @@ func (wd *Windowed[T]) RotateAt(end time.Time) {
 func (wd *Windowed[T]) advance() {
 	wd.head = (wd.head + 1) % len(wd.slots)
 	wd.slots[wd.head].clearInPlace()
+	if wd.tops != nil {
+		wd.tops[wd.head].m = 0
+	}
 	wd.rotations++
 	wd.epoch++
 	wd.viewOK = false
@@ -231,6 +271,9 @@ func (wd *Windowed[T]) SinkErr() error { return wd.sinkErr }
 func (wd *Windowed[T]) Reset() {
 	for _, s := range wd.slots {
 		s.clearInPlace()
+	}
+	for i := range wd.tops {
+		wd.tops[i].m = 0
 	}
 	wd.head = 0
 	wd.rotations = 0
@@ -273,31 +316,144 @@ func (wd *Windowed[T]) UpdateWeightedBatch(items []T, weights []int64) error {
 	return nil
 }
 
-// merged returns the cached merged sketch over the last width intervals
+// merged returns the cached merged sketch over the last w intervals
 // (clamped to [1, N]), rebuilding it only when the cache holds a
 // different width or a write or rotation landed since it was built. A
 // rebuild clears the reusable view sketch in place and folds the
 // covered slots in newest-first via the bulk merge kernels; the view's
 // combined budget admits every covered counter, so the merge itself
-// never evicts.
-func (wd *Windowed[T]) merged(width int) *Sketch[T] {
-	n := len(wd.slots)
-	if width < 1 {
-		width = 1
-	}
-	if width > n {
-		width = n
-	}
-	if wd.viewOK && wd.viewEpoch == wd.epoch && wd.viewWidth == width {
+// never evicts: an item's counter is the sum L of its slot counters,
+// and the offset O the sum of the slot offsets (Theorem 5).
+func (wd *Windowed[T]) merged(w int) *Sketch[T] {
+	w = wd.width(w)
+	if wd.viewOK && wd.viewEpoch == wd.epoch && wd.viewWidth == w {
 		return wd.view
 	}
 	wd.view.clearInPlace()
-	for i := 0; i < width; i++ {
-		wd.view.Merge(wd.slots[(wd.head-i+n)%n])
+	for i := range w {
+		wd.view.Merge(wd.recent(i))
 		wd.viewMerges++
 	}
-	wd.viewEpoch, wd.viewWidth, wd.viewOK = wd.epoch, width, true
+	wd.viewEpoch, wd.viewWidth, wd.viewOK = wd.epoch, w, true
 	return wd.view
+}
+
+// estimate returns merged(w)'s estimate and bounds for item from one
+// lookup per covered interval: with L the sum of item's slot counters
+// and O the sum of the slot offsets, the view answers (L+O, L, L+O) for
+// a tracked item (L > 0) and (0, 0, O) for any other.
+func (wd *Windowed[T]) estimate(w int, item T) (est, lb, ub int64) {
+	var offset int64
+	for i := range wd.width(w) {
+		s := wd.recent(i)
+		lb += s.LowerBound(item)
+		offset += s.MaximumError()
+	}
+	if lb > 0 {
+		est = lb + offset
+	}
+	return est, lb, lb + offset
+}
+
+// listed is what the per-slot lists of topK say about one item: the sum
+// of the counters that listed it and the sum of those slots' cuts.
+type listed struct{ lb, cut int64 }
+
+// slotTop is one slot's list of its m largest counters; m is 0 when the
+// list is not known to be current.
+type slotTop[T comparable] struct {
+	m   int
+	top []pair[T]
+}
+
+// largest returns the m largest counters of the i-th newest slot. Only
+// the head takes writes, so a sealed slot's list stays current until
+// advance recycles the slot as the head or Reset or UnmarshalBinary
+// replaces it: it is taken from the table once and then reused, and a
+// read of a live window scans only the head.
+func (wd *Windowed[T]) largest(i, m int) []pair[T] {
+	n := len(wd.slots)
+	if len(wd.tops) != n {
+		wd.tops = make([]slotTop[T], n)
+	}
+	c := &wd.tops[(wd.head-i+n)%n]
+	switch {
+	case i == 0:
+		c.top, c.m = wd.headSlot().appendLargest(c.top[:0], m), 0
+	case c.m != m:
+		c.top, c.m = wd.recent(i).appendLargest(c.top[:0], m), m
+	}
+	return c.top
+}
+
+// topK returns merged(w).Query().Limit(k).Collect(), row for row, and
+// when it can without building the view: the threshold algorithm of
+// Fagin, Lotem and Naor over the covered slots. Each slot lists its
+// m = 2k largest counters (see largest); its cut t is the smallest
+// listed counter, or 0 when it listed them all, so an item it did not
+// list has at most t there. A listed item's listed counters sum to a
+// lower bound LB on L, and LB plus the cuts of the slots that did not
+// list it is an upper bound UB; an item no slot listed has L <= T, the
+// sum of the cuts. If at least k items are listed and θ, the k-th
+// largest LB, exceeds T, then at least k items have L >= θ, so neither
+// an unlisted item nor a listed one with UB < θ can rank. The rest are
+// looked up exactly and ranked as rows (L+O, L, L+O) by Query. When the
+// certificate fails, or the lists would hold more than 1/16 of the
+// covered counters (w·2k·16 > Σ NumActive, where the lists stop being
+// cheap beside the merge), topK merges.
+func (wd *Windowed[T]) topK(w, k int) []Row[T] {
+	w = wd.width(w)
+	active := 0
+	for i := range w {
+		active += wd.recent(i).NumActive()
+	}
+	if k < 1 || k > active/(32*w) {
+		return wd.merged(w).Query().Limit(k).Collect()
+	}
+	m := 2 * k
+	if wd.lists == nil {
+		wd.lists = make(map[T]listed)
+	}
+	clear(wd.lists)
+	var cuts, offset int64
+	for i := range w {
+		s := wd.recent(i)
+		offset += s.MaximumError()
+		top := wd.largest(i, m)
+		var t int64
+		if s.NumActive() > m {
+			t = top[0].weight
+			for _, p := range top[1:] {
+				t = min(t, p.weight)
+			}
+		}
+		cuts += t
+		for _, p := range top {
+			l := wd.lists[p.item]
+			wd.lists[p.item] = listed{lb: l.lb + p.weight, cut: l.cut + t}
+		}
+	}
+	if len(wd.lists) >= k {
+		wd.lbs = wd.lbs[:0]
+		for _, l := range wd.lists {
+			wd.lbs = append(wd.lbs, l.lb)
+		}
+		if theta := qselect.SelectKthLargest(wd.lbs, k); theta > cuts {
+			wd.cands = wd.cands[:0]
+			for item, l := range wd.lists {
+				if l.lb+cuts-l.cut < theta {
+					continue
+				}
+				var sum int64
+				for i := range w {
+					sum += wd.recent(i).LowerBound(item)
+				}
+				wd.cands = append(wd.cands, Row[T]{Item: item, Estimate: sum + offset, LowerBound: sum, UpperBound: sum + offset})
+			}
+			return fromRows[T](rowList[T](wd.cands)).Limit(k).Collect()
+		}
+	}
+	return wd.merged(w).Query().Limit(k).Collect()
 }
 
 // ViewMerges returns the cumulative number of per-interval merges
@@ -457,11 +613,7 @@ func (wd *Windowed[T]) UnmarshalBinary(data []byte) error {
 	if r.Len() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
 	}
-	total := 0
-	for _, s := range slots {
-		total += s.MaxCounters()
-	}
-	view, err := New[T](total)
+	view, err := New[T](viewBudget(slots))
 	if err != nil {
 		return err
 	}
@@ -474,6 +626,7 @@ func (wd *Windowed[T]) UnmarshalBinary(data []byte) error {
 	wd.rotations = int64(rotations)
 	wd.view = view
 	wd.viewOK = false
+	wd.tops = nil
 	wd.epoch++
 	return nil
 }
@@ -483,10 +636,10 @@ func (wd *Windowed[T]) UnmarshalBinary(data []byte) error {
 // readers, and one rotation driver (StartRotating attaches a wall-clock
 // ticker; Rotate remains available for manual or test-driven
 // boundaries). The Last reads (EstimateLast, TopKLast,
-// FrequentItemsAboveThresholdLast) merge and scan under one hold of the
-// lock and return their result, so the slices are safe to keep; All,
-// and so a Query, holds the lock for the whole scan — do not write to
-// the window from inside the loop.
+// FrequentItemsAboveThresholdLast, AppendBinaryLast) answer under one
+// hold of the lock and return their result, so the slices are safe to
+// keep; All, and so a Query, holds the lock for the whole scan — do not
+// write to the window from inside the loop.
 type ConcurrentWindowed[T comparable] struct {
 	mu sync.Mutex
 	wd *Windowed[T]
@@ -668,13 +821,13 @@ func (c *ConcurrentWindowed[T]) Estimate(item T) int64 {
 }
 
 // EstimateLast returns the point estimate and certain bounds for item
-// over the last w intervals, read under one lock hold so the three
-// values describe the same window state.
+// over the last w intervals — Last(w)'s answers — from one lookup per
+// covered interval instead of a merge, read under one lock hold so the
+// three values describe the same window state.
 func (c *ConcurrentWindowed[T]) EstimateLast(w int, item T) (est, lb, ub int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v := c.wd.merged(w)
-	return v.Estimate(item), v.LowerBound(item), v.UpperBound(item)
+	return c.wd.estimate(w, item)
 }
 
 // LowerBound returns a value certainly <= item's frequency within the
@@ -744,12 +897,16 @@ func (c *ConcurrentWindowed[T]) FrequentItemsAboveThresholdLast(w int, threshold
 }
 
 // TopKLast returns up to k rows with the largest estimates over the
-// last w intervals (ties by item): Query().Limit(k) over Last(w), with
-// the merge and the scan under one hold of the lock.
+// last w intervals (ties by item): the rows of Query().Limit(k) over
+// Last(w), read under one hold of the lock. On skewed traffic it ranks
+// from each interval's 2k largest counters (a sealed interval's list is
+// kept until rotation recycles it) and certifies the result without
+// merging the window; when the certificate fails (flat traffic) or k is
+// large beside the window's counters, it merges.
 func (c *ConcurrentWindowed[T]) TopKLast(w, k int) []Row[T] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wd.merged(w).Query().Limit(k).Collect()
+	return c.wd.topK(w, k)
 }
 
 // AppendBinaryLast appends the serialized merged view of the last w

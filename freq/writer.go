@@ -69,16 +69,25 @@ type Pair[T comparable] struct {
 	Weight int64
 }
 
-// asPairSlice reinterprets a whole []pair[T] as []hashmap.Pair without
-// copying. Called only on the fast path, where T is an 8-byte integer
-// kind, so the layouts match exactly.
+// asPairSlice reinterprets a whole []pair[T], capacity included, as
+// []hashmap.Pair without copying, and fromPairSlice reverses it, so a
+// kernel may append into a caller's buffer. Called only on the fast
+// path, where T is an 8-byte integer kind, so the layouts match exactly.
 //
 //freq:noalloc
 func asPairSlice[T comparable](pairs []pair[T]) []hashmap.Pair {
-	if len(pairs) == 0 {
+	if cap(pairs) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*hashmap.Pair)(unsafe.Pointer(&pairs[0])), len(pairs))
+	return unsafe.Slice((*hashmap.Pair)(unsafe.Pointer(unsafe.SliceData(pairs))), cap(pairs))[:len(pairs)]
+}
+
+//freq:noalloc
+func fromPairSlice[T comparable](pairs []hashmap.Pair) []pair[T] {
+	if cap(pairs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*pair[T])(unsafe.Pointer(unsafe.SliceData(pairs))), cap(pairs))[:len(pairs)]
 }
 
 // writerShard is one shard's pending pairs. The buffer is pre-sized to

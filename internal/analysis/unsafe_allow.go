@@ -14,9 +14,10 @@ var UnsafeAllowlist = map[string]string{
 	// kinds, selected only when size and kind match exactly.
 	"repro/freq/freq.go": "core bit-cast: T<->int64 reinterpretation on the 8-byte integer fast path",
 
-	// The writer's pair-buffer handoff: []pair[T] -> []hashmap.Pair for
-	// the same 8-byte layouts, avoiding a re-marshal per flush.
-	"repro/freq/writer.go": "core bit-cast: pair slice reinterpretation on the buffered-writer flush path",
+	// The writer's pair-buffer handoff: []pair[T] <-> []hashmap.Pair for
+	// the same 8-byte layouts, avoiding a re-marshal per flush and
+	// letting the window's top-k kernel append into a reused buffer.
+	"repro/freq/writer.go": "core bit-cast: pair slice reinterpretation on the buffered-writer flush and window top-k paths",
 
 	// The binary wire protocol's zero-copy PAIRS ingest: a frame
 	// payload allocated as []freq.Pair[int64] is filled through a byte

@@ -158,6 +158,14 @@ func (s *Sketch) UpperBound(item int64) int64 {
 	return s.offset
 }
 
+// AppendLargest appends the min(n, NumActive) assigned counters with the
+// largest values — the items' LowerBounds — to dst as (item, counter)
+// pairs in unspecified order, from one scan of the table. Every counter
+// left out is no larger than the smallest one returned.
+func (s *Sketch) AppendLargest(dst []hashmap.Pair, n int) []hashmap.Pair {
+	return s.hm.AppendLargest(dst, n)
+}
+
 // MaximumError returns the current additive error bound of any estimate:
 // the offset, i.e. the sum of all decrement values. UpperBound(i) -
 // LowerBound(i) equals this for every assigned item.

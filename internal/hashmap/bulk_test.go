@@ -1,7 +1,9 @@
 package hashmap
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -178,6 +180,47 @@ func TestAppendActiveMatchesRange(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pair %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAppendLargest pins the selection kernel against AppendActive:
+// after dst's prefix it appends min(n, NumActive) distinct table pairs
+// whose values are the n largest, ties and out-of-range n included.
+func TestAppendLargest(t *testing.T) {
+	m := mustNew(t, 9)
+	pairs := distinctPairs(200, 11)
+	for i := range pairs {
+		pairs[i].Value = int64(i%37 + 1) // many ties
+	}
+	m.InsertUnique(pairs)
+	var all []int64
+	for _, p := range m.AppendActive(nil) {
+		all = append(all, p.Value)
+	}
+	slices.Sort(all)
+	slices.Reverse(all)
+	prefix := []Pair{{Key: 1, Value: -1}, {Key: 2, Value: -2}}
+	for _, n := range []int{-1, 0, 1, 2, 7, 36, 37, 100, 199, 200, 201, math.MaxInt} {
+		got := m.AppendLargest(slices.Clone(prefix), n)
+		if !slices.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("n=%d: prefix overwritten: %v", n, got[:len(prefix)])
+		}
+		got = got[len(prefix):]
+		want := all[:min(max(n, 0), len(all))]
+		var vals []int64
+		seen := map[int64]bool{}
+		for _, p := range got {
+			if v, ok := m.Get(p.Key); !ok || v != p.Value || seen[p.Key] {
+				t.Fatalf("n=%d: pair %v is not a distinct table counter", n, p)
+			}
+			seen[p.Key] = true
+			vals = append(vals, p.Value)
+		}
+		slices.Sort(vals)
+		slices.Reverse(vals)
+		if !slices.Equal(vals, want) {
+			t.Fatalf("n=%d: values %v, want the largest %v", n, vals, want)
 		}
 	}
 }

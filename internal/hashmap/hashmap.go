@@ -650,6 +650,70 @@ func (m *Map) AppendActive(dst []Pair) []Pair {
 	return dst
 }
 
+// AppendLargest appends the min(n, NumActive) assigned (key, value)
+// pairs with the largest values to dst, in unspecified order, and
+// returns the extended slice. One scan of the table keeps the best
+// pairs so far as a min-heap at the end of dst: the first n counters
+// fill it, and each later one is sifted in only if it beats the root.
+// That test reads the value before the state, so the branch is nearly
+// always not taken and predicts well (an empty slot keeps a stale value,
+// so a value that passes still needs its state). Which of several equal
+// values is kept is unspecified, but every pair left out has a value no
+// larger than the smallest one returned. Nothing is sized from n beyond
+// NumActive, so n may be a count a client sent.
+//
+//freq:noalloc
+func (m *Map) AppendLargest(dst []Pair, n int) []Pair {
+	n = min(n, m.numActive)
+	if n <= 0 {
+		return dst
+	}
+	if n == m.numActive {
+		return m.AppendActive(dst)
+	}
+	base := len(dst)
+	i := 0
+	for ; len(dst)-base < n; i++ {
+		if m.states[i] != 0 {
+			dst = append(dst, Pair{Key: m.keys[i], Value: m.values[i]})
+		}
+	}
+	h := dst[base:]
+	for j := n/2 - 1; j >= 0; j-- {
+		siftDownMin(h, j)
+	}
+	root := h[0].Value
+	for ; i < len(m.values); i++ {
+		if m.values[i] > root && m.states[i] != 0 {
+			h[0] = Pair{Key: m.keys[i], Value: m.values[i]}
+			siftDownMin(h, 0)
+			root = h[0].Value
+		}
+	}
+	return dst
+}
+
+// siftDownMin moves h[i] down until neither child holds a smaller
+// value, restoring the min-heap below i.
+//
+//freq:noalloc
+func siftDownMin(h []Pair, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].Value < h[c].Value {
+			c++
+		}
+		if h[i].Value <= h[c].Value {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // ActiveValues appends the values of all assigned counters to dst and
 // returns the extended slice.
 //
