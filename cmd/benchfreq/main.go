@@ -1,7 +1,7 @@
 // Command benchfreq runs the repository's canonical performance kernels
 // — Update, UpdateBatch, Merge, Serialize/Deserialize, View, QueryTopK,
-// WindowedRotate, WindowedTopK, WindowedTopKLast, WindowedTopKLastFlat,
-// StoreAppend, StoreQueryRange,
+// ConcurrentTopK, ConcurrentTopKFlat, WindowedRotate, WindowedTopK,
+// WindowedTopKLast, WindowedTopKLastFlat, StoreAppend, StoreQueryRange,
 // TenantChurn, EstimateBatch, and the daemon-side network ingest pair
 // ServerIngestText64/ServerIngestBinary64 — and emits the results
 // as BENCH_core.json (the
@@ -230,6 +230,19 @@ func kernels() []kernel {
 					b.Fatal("no rows")
 				}
 			}
+		}},
+		{"ConcurrentTopK", func(b *testing.B) {
+			// The all-time TOPK 64 read over a full 8-shard sketch of a
+			// Zipf 1.1 packet trace: each shard lists its 65 largest
+			// counters and those hold the top 64, so an op merges
+			// nothing.
+			benchConcurrentTopK(b, true)
+		}},
+		{"ConcurrentTopKFlat", func(b *testing.B) {
+			// The same read over flat unit weights: the shards' lists tie
+			// at their cuts, so an op rebuilds the merged view and scans
+			// it.
+			benchConcurrentTopK(b, false)
 		}},
 		{"WindowedRotate", func(b *testing.B) {
 			// Steady-state rotation of a warm 60-interval ring: the
@@ -471,6 +484,62 @@ func benchTopKLast(b *testing.B, skewed bool) {
 		if rows := cw.TopKLast(slots, 64); len(rows) != 64 {
 			b.Fatalf("%d rows", len(rows))
 		}
+	}
+}
+
+// benchConcurrentTopK times Concurrent.Query().Limit(64) on a full
+// 24576-counter sketch over 8 shards (the ingest geometry), filled from
+// a Zipf 1.1 packet trace when skewed, else from distinct unit items,
+// so every counter ties. Every op follows a write, as a live server's
+// reads do, so no read is served from the view cache; the flat op
+// writes an item new to the sketch, which keeps the ties. The run fails
+// unless every skewed read merged nothing and every flat one merged the
+// view.
+func benchConcurrentTopK(b *testing.B, skewed bool) {
+	const k, shards, n = 24576, 8, 1 << 20
+	c, err := freq.NewConcurrent[int64](k, freq.WithShards(shards), freq.WithSeed(17))
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := make([]int64, n)
+	weights := make([]int64, n)
+	if skewed {
+		trace, err := streamgen.PacketTrace(streamgen.TraceConfig{Packets: n, DistinctSources: 1 << 18, Alpha: 1.1, Seed: 18})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, u := range trace {
+			items[i], weights[i] = u.Item, u.Weight
+		}
+	} else {
+		for i := range items {
+			items[i], weights[i] = int64(i), 1
+		}
+	}
+	if err := c.UpdateWeightedBatch(items, weights); err != nil {
+		b.Fatal(err)
+	}
+	merges := c.ViewMerges()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if skewed {
+			_ = c.Update(items[i%n], weights[i%n])
+		} else {
+			_ = c.Update(int64(n+i), 1)
+		}
+		b.StartTimer()
+		if rows := c.Query().Limit(64).Collect(); len(rows) != 64 {
+			b.Fatalf("%d rows", len(rows))
+		}
+	}
+	b.StopTimer()
+	want := int64(0)
+	if !skewed {
+		want = int64(b.N) * shards
+	}
+	if got := c.ViewMerges() - merges; got != want {
+		b.Fatalf("%d reads merged %d shards, want %d", b.N, got, want)
 	}
 }
 

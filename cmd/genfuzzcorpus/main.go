@@ -52,7 +52,14 @@ func run(root string) error {
 	if err := writeCorpus(filepath.Join(root, "freq", "server", "testdata", "fuzz", "FuzzBinaryFrameDecode"), frameCorpus()); err != nil {
 		return err
 	}
-	return writeCorpus(filepath.Join(root, "freq", "server", "testdata", "fuzz", "FuzzTenantCommand"), tenantCorpus())
+	if err := writeCorpus(filepath.Join(root, "freq", "server", "testdata", "fuzz", "FuzzTenantCommand"), tenantCorpus()); err != nil {
+		return err
+	}
+	reply, err := clientReplyCorpus()
+	if err != nil {
+		return err
+	}
+	return writeCorpus(filepath.Join(root, "freq", "server", "testdata", "fuzz", "FuzzClientReply"), reply)
 }
 
 // sketchCorpus seeds the bulk-decode fuzzer: a valid marshaled sketch,
@@ -238,8 +245,44 @@ func tenantCorpus() map[string][]byte {
 	}
 }
 
+// clientReplyCorpus seeds the client-reply fuzzer with one well-formed
+// reply per read verb (a MULTI block, a SNAP blob, an EST triple, a
+// STATS line, a ROTATE acknowledgement), an ERR line, and the broken
+// peers' replies the fault tests script: a blob that does not decode, a
+// header of the wrong verb, negative and absurd counts, and a MULTI
+// block that stops short. Replies are text; the fuzzer frames them
+// itself for BIN 2.
+func clientReplyCorpus() (map[string][]byte, error) {
+	s, err := freq.New[int64](8, freq.WithSeed(4))
+	if err != nil {
+		return nil, err
+	}
+	for i := int64(0); i < 20; i++ {
+		if err := s.Update(i%5, i+1); err != nil {
+			return nil, err
+		}
+	}
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return map[string][]byte{
+		"seed-multi":          []byte("MULTI 2\nITEM 7 12 8 12\nITEM 8 5 1 5\n"),
+		"seed-snap":           append([]byte("SNAP "+strconv.Itoa(len(blob))+"\n"), blob...),
+		"seed-est":            []byte("EST 12 8 12\n"),
+		"seed-stats":          []byte("STATS n=15933 err=196 shards=2 slots=3 partitions=0 tenants=2 tenants_max=16 tenant_evictions=0\n"),
+		"seed-rotated":        []byte("OK 3\n"),
+		"seed-err":            []byte("ERR no snapshot here\n"),
+		"seed-corrupt-blob":   []byte("SNAP 8\nnotasnap"),
+		"seed-wrong-header":   []byte("OK\n"),
+		"seed-negative-count": []byte("SNAP -3\n"),
+		"seed-absurd-count":   []byte("MULTI 1099511627776\n"),
+		"seed-short-multi":    []byte("MULTI 3\nITEM 7 1 1 1\n"),
+	}, nil
+}
+
 // writeCorpus writes each entry in the `go test fuzz v1` single-[]byte
-// encoding the three targets share.
+// encoding the targets share.
 func writeCorpus(dir string, entries map[string][]byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -3,6 +3,7 @@ package freq
 import (
 	"hash/maphash"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -16,10 +17,14 @@ import (
 // default 8, rounded up to a power of two), each summarizing its slice of
 // the stream under its own lock — the concurrency pattern the paper's §3
 // mergeability story enables. Point queries (Estimate, bounds) touch
-// exactly one shard and carry that shard's (smaller) error band; row
-// queries (All, Query) answer from the epoch-cached merged View, so
-// repeated reads with no interleaved writes perform zero additional
-// shard merges.
+// exactly one shard and carry that shard's (smaller) error band. A top-k
+// query (Query with a Limit, in the default order, unfiltered) on the
+// fast backend reads each shard's largest counters and merges nothing
+// whenever they hold the merged view's top rows; every other row query
+// (All, and Query with a filter, another order or no Limit) answers
+// from the epoch-cached merged View, so repeated reads with no
+// interleaved writes perform zero additional shard merges. Both give
+// the view's rows.
 //
 // Like Sketch, it compiles down to the parallel-array backend for int64
 // and uint64 items and falls back to the generic map-backed backend for
@@ -292,7 +297,8 @@ func (c *Concurrent[T]) MaximumError() int64 {
 // sketch moves on. Its bounds are the merged summary's single global
 // error band (the same answer a coordinator holding the merged snapshot
 // would give), in contrast to the tighter per-shard bands of the live
-// point queries.
+// point queries. A top-k Query on the live sketch usually skips the
+// rebuild (see Query); one on the view ranks the frozen state.
 func (c *Concurrent[T]) View() (*View[T], error) {
 	if c.fast != nil {
 		v, err := c.fast.View()
@@ -383,8 +389,47 @@ func (c *Concurrent[T]) All() iter.Seq2[T, Row[T]] {
 	}
 }
 
-// Query starts a composable query over the epoch-cached merged view.
+// Query starts a composable query over the epoch-cached merged view. A
+// query for the n rows with the largest estimates (the default order, a
+// Limit, no filter) reads each shard's n+1 largest counters instead
+// when they hold the view's top n (see topRows).
 func (c *Concurrent[T]) Query() *Query[T] { return From[T](c) }
+
+// topRows returns rows of the merged view among which are the n that
+// sort first by descending estimate, or false when it cannot tell which
+// those are without the view; only the fast backend tries. Shards hold
+// disjoint items and the view merges them without a decrement, so an
+// item's row in the view is its shard's counter c plus the summed shard
+// offsets O, (c+O, c, c+O), and the view's top n lies in the union of
+// the shards' largest counters. Each shard lists n+1 of them, so that
+// what a shard leaves out is bounded by its (n+1)-th counter and a
+// single shard, or one holding most of the top n, can still tell. An
+// unlisted item holds at most cut, so when at least n listed counters
+// exceed cut, every row at or below it sorts after them and is dropped;
+// when no shard was cut, every row is listed. Otherwise (counters tie at
+// a shard's cut, as on flat unit-weight traffic) it reports false.
+func (c *Concurrent[T]) topRows(n int) ([]Row[T], bool) {
+	if c.fast == nil {
+		return nil, false
+	}
+	pairs, offset, cut := c.fast.AppendLargest(nil, n+min(1, math.MaxInt-n))
+	above := 0
+	for _, p := range pairs {
+		if p.Value > cut {
+			above++
+		}
+	}
+	if cut >= 0 && above < n {
+		return nil, false
+	}
+	rows := make([]Row[T], 0, above)
+	for _, p := range pairs {
+		if p.Value > cut {
+			rows = append(rows, Row[T]{Item: fromInt64[T](p.Key), Estimate: p.Value + offset, LowerBound: p.Value, UpperBound: p.Value + offset})
+		}
+	}
+	return rows, true
+}
 
 // Snapshot merges all shards into a single fresh Sketch with the combined
 // counter budget via Algorithm 5. The result is independent of the

@@ -146,7 +146,7 @@ type Query[T comparable] struct {
 func From[T comparable](src Queryable[T]) *Query[T] { return fromRows[T](src) }
 
 // rowSource is the one method a Query reads: every Queryable, and the
-// rowList a window ranks its candidate rows from.
+// rowList a window or a Concurrent ranks its candidate rows from.
 type rowSource[T comparable] interface {
 	All() iter.Seq2[T, Row[T]]
 }
@@ -277,9 +277,13 @@ func (q *Query[T]) compare(a, b Row[T]) int {
 // source through the filters — no intermediate slice. An ordered query
 // with a Limit selects: one pass over the source keeps only the
 // Offset+Limit rows that sort first, and only those are sorted and
-// paged. An ordered query without a Limit materializes the filtered
-// rows once and sorts them all. Evaluation happens when the iterator
-// runs, so the result reflects the source at that moment.
+// paged. Over a Concurrent, such a query in the default order with no
+// filter selects from each shard's largest counters instead of scanning
+// the merged view, whenever those provably hold its first rows; the
+// rows are the same. An ordered query without a Limit
+// materializes the filtered rows once and sorts them all. Evaluation
+// happens when the iterator runs, so the result reflects the source at
+// that moment.
 func (q *Query[T]) All() iter.Seq2[T, Row[T]] {
 	if q.order == OrderNone && q.cmpFn == nil {
 		return q.stream()
@@ -291,7 +295,14 @@ func (q *Query[T]) All() iter.Seq2[T, Row[T]] {
 		if q.limit < 0 {
 			keep = -1
 		}
-		rows := q.firstRows(keep)
+		var src rowSource[T] = q.src
+		if c, ok := src.(*Concurrent[T]); ok && keep > 0 && q.order == OrderEstimateDesc &&
+			q.cmpFn == nil && !q.hasThreshold && len(q.preds) == 0 {
+			if rows, ok := c.topRows(keep); ok {
+				src = rowList[T](rows)
+			}
+		}
+		rows := q.firstRows(src, keep)
 		slices.SortFunc(rows, q.compare)
 		if q.offset > 0 {
 			if q.offset >= len(rows) {
@@ -310,16 +321,15 @@ func (q *Query[T]) All() iter.Seq2[T, Row[T]] {
 	}
 }
 
-// firstRows returns, unsorted, the n matching rows that sort first
-// under compare, or every matching row when n < 0, in one pass over the
-// source. Once n rows are held they form a heap whose root is the held
-// row that sorts last, and a later row replaces the root only if it
-// sorts before it. The slice grows by append as rows arrive and is
-// never sized from n: n may be a count a client sent
-// (TOPK 9223372036854775807).
-func (q *Query[T]) firstRows(n int) []Row[T] {
+// firstRows returns, unsorted, the n matching rows of src that sort
+// first under compare, or every matching row when n < 0, in one pass.
+// Once n rows are held they form a heap whose root is the held row that
+// sorts last, and a later row replaces the root only if it sorts before
+// it. The slice grows by append as rows arrive and is never sized from
+// n: n may be a count a client sent (TOPK 9223372036854775807).
+func (q *Query[T]) firstRows(src rowSource[T], n int) []Row[T] {
 	var rows []Row[T]
-	for _, r := range q.src.All() {
+	for _, r := range src.All() {
 		switch {
 		case !q.match(r):
 		case n < 0 || len(rows) < n:

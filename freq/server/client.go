@@ -894,9 +894,10 @@ func (c *Client[T]) readMulti(header string) ([]freq.Row[T], error) {
 	return rows, nil
 }
 
-// TopK returns the n largest items (server-side TOPK command, answered
-// from the scope's merged view — the epoch-cached one for all-time).
-// Idempotent: retried under WithRetry.
+// TopK returns the n largest items (server-side TOPK command): the
+// first n rows of the scope's merged view, which an all-time or window
+// scope usually ranks from its shards' or slots' largest counters
+// without building the view. Idempotent: retried under WithRetry.
 func (c *Client[T]) TopK(n int) ([]freq.Row[T], error) {
 	return c.doMulti("TOPK", "TOPK %d", n)
 }

@@ -71,15 +71,17 @@
 //
 // EST, TOPK, FI, and SNAP are the read side of the unified query layer
 // (freq.Queryable): EST answers the three point values in one round
-// trip; TOPK and FI extract rows from the server's epoch-cached merged
-// view, so repeated reads against an unchanged summary re-merge
-// nothing. FI's <et> field selects the error-band semantics — 0 or NFP
-// for no-false-positives (LowerBound > threshold), 1 or NFN for
-// no-false-negatives (UpperBound > threshold); <threshold> is an
-// absolute weight (compute phi*N from STATS for relative queries, or
-// use HH). Row values reflect the merged summary's single global error
-// band, the same answer a coordinator holding the shipped snapshot
-// would give.
+// trip; an all-time TOPK ranks each shard's largest counters, and falls
+// back to the merged view only when they tie at a shard's cut; FI
+// extracts rows from the server's epoch-cached merged view, so repeated
+// reads against an unchanged summary re-merge nothing. FI's <et> field
+// selects the error-band semantics — 0 or NFP for no-false-positives
+// (LowerBound > threshold), 1 or NFN for no-false-negatives
+// (UpperBound > threshold); <threshold> is an absolute weight (compute
+// phi*N from STATS for relative queries, or use HH). Row values reflect
+// the merged summary's single global error band, the same answer a
+// coordinator holding the shipped snapshot would give, whichever path
+// ranked them.
 //
 // SNAP transfers the full serialized summary and is the unit of the
 // distributed fan-out: server.Cluster issues SNAP to every node

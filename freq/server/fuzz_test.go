@@ -11,9 +11,12 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/freq"
 	"repro/freq/tenant"
 )
 
@@ -178,4 +181,112 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		c2.Close()
 		<-h2
 	})
+}
+
+// clientReadVerbs are the Client calls that read a reply off the wire,
+// each run by FuzzClientReply against a peer answering with fuzzed
+// bytes.
+var clientReadVerbs = []struct {
+	name string
+	read func(c *Client[int64]) error
+}{
+	{"Query", func(c *Client[int64]) error { _, _, _, err := c.Query(7); return err }},
+	{"TopK", func(c *Client[int64]) error { _, err := c.TopK(5); return err }},
+	{"FrequentItemsAboveThreshold", func(c *Client[int64]) error {
+		_, err := c.FrequentItemsAboveThreshold(10, freq.NoFalseNegatives)
+		return err
+	}},
+	{"HeavyHitters", func(c *Client[int64]) error { _, err := c.HeavyHitters(0.01); return err }},
+	{"Stats", func(c *Client[int64]) error { _, _, err := c.Stats(); return err }},
+	{"StatsFull", func(c *Client[int64]) error { _, err := c.StatsFull(); return err }},
+	{"Snapshot", func(c *Client[int64]) error { _, err := c.Snapshot(); return err }},
+	{"Rotate", func(c *Client[int64]) error { _, err := c.Rotate(); return err }},
+}
+
+// FuzzClientReply answers every Client read verb with fuzzed reply
+// bytes, in text framing, in BIN 2 framing with the bytes as one reply
+// frame's payload, and in BIN 2 framing with the bytes written raw
+// (frame headers included). The peer is a goroutine on loopback TCP,
+// not net.Pipe, whose writes block until read: it answers HELLO BIN 2,
+// reads one command, writes the reply and closes. Each verb must return
+// an error or a parsed answer, never panic or hang (every read runs
+// under WithIOTimeout), and allocate less than 1 MiB on a reply of at
+// most 64 KiB: nothing may be sized from a count the peer only claims.
+// Seeds: cmd/genfuzzcorpus writes testdata/fuzz/FuzzClientReply.
+func FuzzClientReply(f *testing.F) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { ln.Close() })
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		reply = reply[:min(len(reply), 64<<10)]
+		framed := make([]byte, frameHeader+len(reply))
+		framed[0] = opReply
+		binary.LittleEndian.PutUint32(framed[1:], uint32(len(reply)))
+		copy(framed[frameHeader:], reply)
+		for _, mode := range []struct {
+			name  string
+			bin   bool
+			bytes []byte
+		}{{"text", false, reply}, {"bin2", true, framed}, {"bin2-raw", true, reply}} {
+			for _, verb := range clientReadVerbs {
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					answerOnce(ln, mode.bin, mode.bytes)
+				}()
+				opts := []ClientOption{WithDialTimeout(5 * time.Second), WithIOTimeout(5 * time.Second)}
+				if mode.bin {
+					opts = append(opts, WithBinary())
+				}
+				c, err := Dial[int64](ln.Addr().String(), opts...)
+				if err != nil {
+					t.Fatalf("%s: dial: %v", mode.name, err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				verb.read(c)
+				runtime.ReadMemStats(&after)
+				c.Close()
+				<-done
+				if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+					t.Fatalf("%s %s: client allocated %d bytes on a %d-byte reply", mode.name, verb.name, grew, len(reply))
+				}
+			}
+		}
+	})
+}
+
+// answerOnce accepts one connection on ln, answers HELLO BIN 2 when bin,
+// reads one command, text line or binary frame, writes reply as is and
+// closes. Every step has a deadline, so a client that never dials or
+// stops reading cannot stall it.
+func answerOnce(ln net.Listener, bin bool, reply []byte) {
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
+	conn, err := ln.Accept()
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	if bin {
+		if line, err := r.ReadString('\n'); err != nil || line != "HELLO BIN 2\n" {
+			return
+		}
+		if _, err := io.WriteString(conn, "HELLO BIN 2\n"); err != nil {
+			return
+		}
+		var hdr [frameHeader]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return
+		}
+		if _, err := io.CopyN(io.Discard, r, int64(binary.LittleEndian.Uint32(hdr[1:]))); err != nil {
+			return
+		}
+	} else if _, err := r.ReadString('\n'); err != nil {
+		return
+	}
+	conn.Write(reply)
 }

@@ -868,7 +868,9 @@ type source interface {
 }
 
 // liveSource reads the all-time sketch: EST from its live per-shard
-// bands, rows and SNAP from its epoch-cached merged view, so repeated
+// bands, TOPK from each shard's largest counters when they hold the
+// merged view's top rows (Concurrent.Query), and FI, HH, SNAP and the
+// TOPK that cannot tell from its epoch-cached merged view, so repeated
 // reads with no interleaved writes re-merge nothing.
 type liveSource struct{ sk *freq.Concurrent[int64] }
 
@@ -877,11 +879,7 @@ func (l liveSource) estimate(item int64) (est, lb, ub int64) {
 }
 
 func (l liveSource) topK(n int) ([]freq.Row[int64], error) {
-	v, err := l.sk.View()
-	if err != nil {
-		return nil, err
-	}
-	return viewSource{v}.topK(n)
+	return l.sk.Query().Limit(n).Collect(), nil
 }
 
 func (l liveSource) aboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[int64], error) {
@@ -927,7 +925,7 @@ func (ws windowSource) appendBinary(dst []byte) ([]byte, error) {
 }
 
 // viewSource reads one merged view: a RANGE view of stored slots, or
-// the all-time sketch's cached view for liveSource's row reads.
+// the all-time sketch's cached view for liveSource's FI and HH reads.
 type viewSource struct{ v *freq.View[int64] }
 
 func (vs viewSource) estimate(item int64) (est, lb, ub int64) {

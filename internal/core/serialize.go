@@ -134,6 +134,12 @@ func parseHeader(data []byte) (serialHeader, error) {
 	if h.flags&1 != 0 && (h.numActive != 0 || h.streamN != 0) {
 		return h, fmt.Errorf("%w: empty flag with non-empty payload", ErrCorrupt)
 	}
+	// Counters and decrements account for stream weight, so a sketch of
+	// weight 0 holds neither; accepting one would yield a sketch whose
+	// own encoding (empty flag set) this decoder rejects.
+	if h.streamN == 0 && (h.numActive != 0 || h.offset != 0) {
+		return h, fmt.Errorf("%w: stream weight 0 with %d counters and offset %d", ErrCorrupt, h.numActive, h.offset)
+	}
 	return h, nil
 }
 

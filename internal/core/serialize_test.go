@@ -186,6 +186,21 @@ func TestDeserializeCorrupt(t *testing.T) {
 		"NaN quantile": mutate(func(b []byte) {
 			binary.LittleEndian.PutUint64(b[12:], math.Float64bits(math.NaN()))
 		}),
+		// Counters but no stream weight: accepted, it re-encoded with the
+		// empty flag set, which the decoder rejects.
+		"zero weight with counters": func() []byte {
+			b := mustNew(t, Options{MaxCounters: 64, Seed: 6})
+			_ = b.Update(5, 10)
+			blob := b.Serialize()
+			binary.LittleEndian.PutUint64(blob[20:], 0)
+			return blob
+		}(),
+		"zero weight with offset": func() []byte {
+			b := mustNew(t, Options{MaxCounters: 64, Seed: 6}).Serialize()
+			b[5] = 0 // clear the empty flag
+			binary.LittleEndian.PutUint64(b[28:], 3)
+			return b
+		}(),
 	}
 	for name, data := range cases {
 		if _, err := Deserialize(data); err == nil {

@@ -13,6 +13,7 @@ package sharded
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -460,6 +461,37 @@ func (sk *Sketch) buildMerged(epochs []uint64) (*core.Sketch, error) {
 // (possibly different) consistent point.
 func (sk *Sketch) Snapshot() (*core.Sketch, error) {
 	return sk.buildMerged(nil)
+}
+
+// AppendLargest appends each shard's min(n, NumActive) largest counters
+// to dst as (item, counter) pairs, in unspecified order, and returns the
+// extended slice with two facts about it. offset is the sum of the
+// shards' MaximumError, the offset of the merged view. cut is the
+// largest counter an unlisted item may hold: the smallest listed counter
+// of each shard that held more than n counters, the largest of these, or
+// -1 when every shard listed all of its counters. Each shard is read
+// under its own lock, its counters and offset together, so the lists
+// describe each shard at a (possibly different) consistent point, like
+// View. Because items are hash-partitioned, the view's row for a listed
+// item is (c+offset, c, c+offset).
+func (sk *Sketch) AppendLargest(dst []hashmap.Pair, n int) (pairs []hashmap.Pair, offset, cut int64) {
+	cut = -1
+	for i := range sk.shards {
+		sh := &sk.shards[i]
+		sh.mu.Lock()
+		base := len(dst)
+		dst = sh.s.AppendLargest(dst, n)
+		offset += sh.s.MaximumError()
+		if sh.s.NumActive() > n {
+			least := int64(math.MaxInt64)
+			for _, p := range dst[base:] {
+				least = min(least, p.Value)
+			}
+			cut = max(cut, least)
+		}
+		sh.mu.Unlock()
+	}
+	return dst, offset, cut
 }
 
 // estScratch is the pooled partition scratch of EstimateBatch, so the
