@@ -42,7 +42,6 @@ import (
 	"repro/freq/store"
 	"repro/freq/tenant"
 	"repro/internal/core"
-	"repro/internal/sharded"
 	"repro/internal/streamgen"
 )
 
@@ -199,7 +198,7 @@ func kernels() []kernel {
 			}
 		}},
 		{"View", func(b *testing.B) {
-			sk, err := sharded.New(16384, 8)
+			sk, err := freq.NewConcurrent[int64](16384, freq.WithShards(8))
 			if err != nil {
 				b.Fatal(err)
 			}

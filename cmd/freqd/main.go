@@ -2,9 +2,11 @@
 // line-protocol TCP daemon over the concurrent sharded sketch. Collectors
 // stream weighted updates; operators query live estimates, heavy hitters,
 // and serialized snapshots (see freq/server for the protocol). High-rate
-// collectors negotiate the length-prefixed binary framing ("HELLO BIN 1")
-// for zero-copy batch ingest; the text protocol stays available on every
-// connection for debugging and netcat sessions.
+// collectors negotiate the length-prefixed binary framing for zero-copy
+// batch ingest: the client offers "HELLO BIN 2" first, whose pairs
+// frames may carry a tenant id, and falls back to "HELLO BIN 1"; the
+// text protocol stays available on every connection for debugging and
+// netcat sessions.
 //
 // With -window the daemon additionally maintains a sliding window of
 // per-interval sketches and rotates it on a wall-clock ticker
@@ -15,7 +17,9 @@
 // With -store-dir the window becomes durable: every retired interval is
 // appended to a time-partitioned on-disk store (see freq/store), the
 // RANGE command serves historical queries over it, and -retention /
-// -retention-bytes bound its footprint.
+// -retention-bytes bound the footprint of each history (the global one
+// and every tenant's), enforced at each append and once per
+// -store-partition on every history.
 //
 // With -tenants the daemon serves many isolated summaries behind one
 // port: the TENANT <id> command scope (and the HELLO BIN 2 framing's
@@ -74,7 +78,7 @@ func main() {
 		storeCodec  = flag.String("store-codec", "lz", "store block compression: lz or none")
 		storeSync   = flag.Bool("store-sync", false, "fsync each appended slot before acknowledging the rotation")
 		retention   = flag.Duration("retention", 0, "drop stored history older than this (0 = keep forever)")
-		retainBytes = flag.Int64("retention-bytes", 0, "drop oldest stored history beyond this many bytes (0 = no budget)")
+		retainBytes = flag.Int64("retention-bytes", 0, "drop oldest stored history beyond this many bytes, per history: the global one and each tenant's (0 = no budget)")
 
 		tenants    = flag.Bool("tenants", false, "enable the multi-tenant registry (TENANT commands, HELLO BIN 2 scoped batches)")
 		maxTenants = flag.Int("max-tenants", 1024, "live tenant capacity: creating one more evicts the idlest (with -tenants)")
@@ -204,6 +208,18 @@ func main() {
 		}
 	}
 
+	// Appends enforce retention on the history they land in; this ticker
+	// reaches the histories that stopped appending (an idle tenant, a
+	// window whose last slot aged out).
+	stopRetention := func() {}
+	if st != nil && (*retention > 0 || *retainBytes > 0) {
+		stopRetention = every(*storePart, func() {
+			if err := st.EnforceRetention(); err != nil {
+				fmt.Fprintln(os.Stderr, "freqd: retention failed:", err)
+			}
+		})
+	}
+
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	sigSeen := make(chan struct{})
@@ -261,6 +277,7 @@ func main() {
 	// Every handler has returned, so the window holds its final state.
 	// Flush the live head interval into the store and close it — the
 	// restart picks up a complete history.
+	stopRetention()
 	if st != nil {
 		srv.Windowed().RotateAt(time.Now())
 		if err := srv.Windowed().SinkErr(); err != nil {
@@ -272,6 +289,29 @@ func main() {
 	}
 	updates, queries := srv.Counters()
 	fmt.Fprintf(os.Stderr, "freqd: served %d updates, %d queries\n", updates, queries)
+}
+
+// every runs f once per period on a goroutine until the returned stop
+// function is called; stop returns after any run in progress.
+func every(period time.Duration, f func()) (stop func()) {
+	t := time.NewTicker(period)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-t.C:
+				f()
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		t.Stop()
+		close(done)
+		<-exited
+	}
 }
 
 func fatal(err error) {

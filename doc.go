@@ -30,7 +30,7 @@
 //   - internal/core — the paper's algorithm (SMED/SMIN and any decrement
 //     quantile), with merging, serialization and heavy-hitter queries.
 //   - internal/items — the generic-item (any comparable type) variant.
-//   - internal/sharded — the lock-per-shard concurrent composition.
+//   - internal/sharded — the shard-routing rule of freq.Concurrent.
 //   - internal/mg, internal/spacesaving, internal/sketches, internal/gk —
 //     every baseline the paper's evaluation compares against.
 //   - internal/hashmap, internal/qselect, internal/xrand — the §2.3.3

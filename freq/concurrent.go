@@ -1,126 +1,148 @@
 package freq
 
 import (
+	"errors"
 	"hash/maphash"
 	"iter"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
-	"repro/internal/items"
 	"repro/internal/sharded"
+	"repro/internal/xrand"
 )
 
 // Concurrent is the goroutine-safe counterpart of Sketch: the total
 // counter budget is spread over hash-partitioned shards (WithShards,
-// default 8, rounded up to a power of two), each summarizing its slice of
-// the stream under its own lock — the concurrency pattern the paper's §3
-// mergeability story enables. Point queries (Estimate, bounds) touch
-// exactly one shard and carry that shard's (smaller) error band. A top-k
-// query (Query with a Limit, in the default order, unfiltered) on the
-// fast backend reads each shard's largest counters and merges nothing
+// default 8, rounded up to a power of two), each a Sketch summarizing
+// its slice of the stream under its own lock — the concurrency pattern
+// the paper's §3 mergeability story enables. Point queries (Estimate,
+// bounds) touch exactly one shard and carry that shard's (smaller)
+// error band. A top-k query (Query with a Limit, in the default order,
+// unfiltered) reads each shard's largest counters and merges nothing
 // whenever they hold the merged view's top rows; every other row query
 // (All, and Query with a filter, another order or no Limit) answers
 // from the epoch-cached merged View, so repeated reads with no
 // interleaved writes perform zero additional shard merges. Both give
 // the view's rows.
 //
-// Like Sketch, it compiles down to the parallel-array backend for int64
-// and uint64 items and falls back to the generic map-backed backend for
-// every other comparable type.
+// Every item type shares this one implementation; only routing differs.
+// int64 and uint64 items (the parallel-array backend) route through
+// internal/sharded's route hash, every other comparable type through
+// maphash.
 type Concurrent[T comparable] struct {
-	fast *sharded.Sketch
-
-	slow  []itemShard[T]
-	mask  uint64
+	shards []shard[T]
+	// route picks the shard of an 8-byte integer item (ints); items of
+	// every other type hash through maphash with hseed instead.
+	route sharded.Route
 	hseed maphash.Seed
+	ints  bool
+	// cfg is the construction configuration. Merged views and snapshots
+	// take their decrement policy, sample size and pinned seed from it.
+	cfg config
 
-	// Epoch-cached merged read view for the generic backend (the fast
-	// backend caches inside internal/sharded). Guarded by viewMu.
+	// Epoch-cached merged read view (see View). viewMu guards the three
+	// fields below; it is never held while a shard lock is being waited
+	// on by a writer, so readers cannot stall the ingest path beyond the
+	// shard-at-a-time merge a snapshot already costs.
 	viewMu     sync.Mutex
-	view       *items.Sketch[T]
+	view       *Sketch[T]
 	viewEpochs []uint64
 	viewMerges int64
 }
 
-type itemShard[T comparable] struct {
+type shard[T comparable] struct {
 	mu sync.Mutex
 	// s is the shard's summary. Every access goes through mu, and every
-	// mutating call bumps epoch inside the same locked region — the
-	// freshness contract slowView relies on, enforced by the epochlock
-	// analyzer.
+	// mutating call bumps epoch inside the same locked region so the
+	// epoch-cached merged view can never serve a stale snapshot as
+	// fresh — the contract the epochlock analyzer enforces.
 	//
 	//freq:guardedBy(mu)
-	//freq:epoch(epoch, Update UpdateBatch UpdateWeightedBatch Reset)
-	s *items.Sketch[T]
-	// epoch counts mutations to this shard (bumped under mu, read
-	// atomically by the view freshness check).
+	//freq:epoch(epoch, update updatePairs clearInPlace)
+	s *Sketch[T]
+	// epoch counts mutations to this shard. It is incremented (atomically,
+	// under mu) by every write path and read without the lock by View's
+	// freshness check, so a cached merged view can be reused for free while
+	// no shard has changed.
 	epoch atomic.Uint64
 	// Pad the struct to a full 64-byte cache line (8 mutex + 8 pointer +
 	// 8 epoch + 40) so neighbouring shard locks do not false-share.
 	_ [40]byte
 }
 
+// mixSeed derives a pinned seed with the SplitMix64 finalizer, never
+// zero (zero would re-randomize the sketch it seeds).
+func mixSeed(x uint64) uint64 {
+	if s := xrand.Mix64(x); s != 0 {
+		return s
+	}
+	return 1
+}
+
 // NewConcurrent returns a goroutine-safe sketch with counter budget k
 // spread over the configured shards. Per-shard budgets round up to the
-// smallest supported size rather than error.
+// smallest supported size rather than error. When WithSeed pins a seed,
+// each shard, the route hash and the merged views derive distinct seeds
+// from it, so a pinned seed stays reproducible without correlating the
+// shards' tables.
 func NewConcurrent[T comparable](k int, opts ...Option) (*Concurrent[T], error) {
 	cfg, err := resolve(k, opts)
 	if err != nil {
 		return nil, err
 	}
 	n := sharded.NumShardsFor(cfg.shards)
-	if fastKind[T]() {
-		perShard := cfg.coreOptions()
-		perShard.MaxCounters = max(cfg.k/n, core.MinCounters)
-		fast, err := sharded.NewWithOptions(n, perShard)
-		if err != nil {
-			return nil, mapCoreErr(err)
-		}
-		return &Concurrent[T]{fast: fast}, nil
-	}
 	c := &Concurrent[T]{
-		slow:  make([]itemShard[T], n),
-		mask:  uint64(n - 1),
-		hseed: maphash.MakeSeed(),
+		shards:     make([]shard[T], n),
+		route:      sharded.NewRoute(n, cfg.seed),
+		hseed:      maphash.MakeSeed(),
+		ints:       fastKind[T](),
+		cfg:        cfg,
+		viewEpochs: make([]uint64, n),
 	}
-	for i := range c.slow {
-		s, err := items.NewWithConfig[T](max(cfg.k/n, 1), cfg.itemsQuantile(), cfg.sampleSize)
+	shardCfg := cfg
+	shardCfg.k = max(cfg.k/n, 1)
+	for i := range c.shards {
+		if cfg.seed != 0 {
+			shardCfg.seed = mixSeed(cfg.seed + uint64(i)*0x9e3779b97f4a7c15)
+		}
+		s, err := newFromConfig[T](shardCfg)
 		if err != nil {
 			return nil, err
 		}
 		//freqvet:ignore epochlock constructor runs before the sketch is published; no reader can exist yet
-		c.slow[i].s = s
+		c.shards[i].s = s
 	}
 	return c, nil
 }
 
-// shardFor routes an item to its shard on the generic path.
-func (c *Concurrent[T]) shardFor(item T) *itemShard[T] {
-	return &c.slow[maphash.Comparable(c.hseed, item)&c.mask]
+// shardFor routes an item to its shard. The route of an 8-byte integer
+// inlines; the maphash route cannot and stays behind a call.
+func (c *Concurrent[T]) shardFor(item T) *shard[T] {
+	if c.ints {
+		return &c.shards[c.route.ShardIndex(asInt64(item))]
+	}
+	return &c.shards[c.hashIndex(item)]
+}
+
+// hashIndex routes an item whose type is not an 8-byte integer kind.
+func (c *Concurrent[T]) hashIndex(item T) int {
+	return int(maphash.Comparable(c.hseed, item) & uint64(len(c.shards)-1))
 }
 
 // NumShards returns the shard count.
-func (c *Concurrent[T]) NumShards() int {
-	if c.fast != nil {
-		return c.fast.NumShards()
-	}
-	return len(c.slow)
-}
+func (c *Concurrent[T]) NumShards() int { return len(c.shards) }
 
 // Update adds weight to item's frequency; safe for concurrent use.
 func (c *Concurrent[T]) Update(item T, weight int64) error {
 	if weight < 0 {
 		return ErrNegativeWeight
 	}
-	if c.fast != nil {
-		return c.fast.Update(asInt64(item), weight)
-	}
 	sh := c.shardFor(item)
 	sh.mu.Lock()
 	sh.epoch.Add(1)
-	err := sh.s.Update(item, weight)
+	err := sh.s.update(item, weight)
 	sh.mu.Unlock()
 	return err
 }
@@ -133,13 +155,7 @@ func (c *Concurrent[T]) UpdateOne(item T) { _ = c.Update(item, 1) }
 // concurrent use. Items are partitioned by shard and each shard's slice
 // is applied under a single lock acquisition. For a long-lived ingest
 // goroutine, a Writer amortizes the partitioning too.
-func (c *Concurrent[T]) UpdateBatch(items []T) {
-	if c.fast != nil {
-		c.fast.UpdateBatch(asInt64Slice(items))
-		return
-	}
-	c.slowBatch(items, nil)
-}
+func (c *Concurrent[T]) UpdateBatch(items []T) { c.updateBatch(items, nil) }
 
 // UpdateWeightedBatch adds weights[i] to items[i]'s frequency for every
 // i; safe for concurrent use. Items are partitioned by shard and each
@@ -152,55 +168,73 @@ func (c *Concurrent[T]) UpdateWeightedBatch(items []T, weights []int64) error {
 	if err := checkWeights(items, weights); err != nil {
 		return err
 	}
-	if c.fast != nil {
-		return c.fast.UpdateWeightedBatch(asInt64Slice(items), weights)
-	}
-	c.slowBatch(items, weights)
+	c.updateBatch(items, weights)
 	return nil
 }
 
-// slowBatch partitions a validated batch by shard on the generic path and
-// applies each group through the items batch path under one lock
-// acquisition. A nil weights slice means all-unit weights.
-func (c *Concurrent[T]) slowBatch(items []T, weights []int64) {
+// partition is the counting pass of the batch paths' counting sort: it
+// returns each item's shard and, per shard, the offset where its run
+// starts when the items are laid out shard by shard. Placing item i at
+// offsets[idx[i]] and advancing that offset keeps input order within
+// each run and leaves offsets[j] at the end of shard j's run. The route
+// is chosen once, outside the per-item loop.
+func (c *Concurrent[T]) partition(items []T) (idx []int32, offsets []int) {
+	idx = make([]int32, len(items))
+	offsets = make([]int, len(c.shards))
+	if c.ints {
+		for i, item := range asInt64Slice(items) {
+			j := c.route.ShardIndex(item)
+			idx[i] = int32(j)
+			offsets[j]++
+		}
+	} else {
+		for i, item := range items {
+			j := c.hashIndex(item)
+			idx[i] = int32(j)
+			offsets[j]++
+		}
+	}
+	start := 0
+	for j, n := range offsets {
+		offsets[j], start = start, start+n
+	}
+	return idx, offsets
+}
+
+// updateBatch partitions a validated batch by shard and applies each
+// shard's run of pairs under a single lock acquisition, in input order
+// within the shard. A nil weights slice means all-unit weights.
+func (c *Concurrent[T]) updateBatch(items []T, weights []int64) {
 	if len(items) == 0 {
 		return
 	}
-	n := len(c.slow)
-	perItems := make([][]T, n)
-	var perWeights [][]int64
-	if weights != nil {
-		perWeights = make([][]int64, n)
-	}
+	idx, ends := c.partition(items)
+	pairs := make([]pair[T], len(items))
 	for i, item := range items {
-		j := int(maphash.Comparable(c.hseed, item) & c.mask)
-		perItems[j] = append(perItems[j], item)
+		w := int64(1)
 		if weights != nil {
-			perWeights[j] = append(perWeights[j], weights[i])
+			w = weights[i]
 		}
+		j := idx[i]
+		pairs[ends[j]] = pair[T]{item, w}
+		ends[j]++
 	}
-	for j := 0; j < n; j++ {
-		if len(perItems[j]) == 0 {
-			continue
+	lo := 0
+	for j, hi := range ends {
+		if lo < hi {
+			sh := &c.shards[j]
+			sh.mu.Lock()
+			sh.epoch.Add(1)
+			// Weights were validated by the caller; the run cannot fail.
+			_ = sh.s.updatePairs(pairs[lo:hi])
+			sh.mu.Unlock()
 		}
-		sh := &c.slow[j]
-		sh.mu.Lock()
-		sh.epoch.Add(1)
-		if weights == nil {
-			sh.s.UpdateBatch(perItems[j])
-		} else {
-			// Weights were validated by the caller; cannot fail.
-			_ = sh.s.UpdateWeightedBatch(perItems[j], perWeights[j])
-		}
-		sh.mu.Unlock()
+		lo = hi
 	}
 }
 
 // Estimate returns the point estimate for item; safe for concurrent use.
 func (c *Concurrent[T]) Estimate(item T) int64 {
-	if c.fast != nil {
-		return c.fast.Estimate(asInt64(item))
-	}
 	sh := c.shardFor(item)
 	sh.mu.Lock()
 	v := sh.s.Estimate(item)
@@ -210,31 +244,48 @@ func (c *Concurrent[T]) Estimate(item T) int64 {
 
 // EstimateBatch returns the point estimates for every item, writing
 // them to dst (reallocated only when too small) and returning it; safe
-// for concurrent use. On the fast path the batch is partitioned by
-// shard, each shard queried under one lock acquisition through the
-// pipelined batch-lookup kernel; each estimate reflects its own shard at
-// a consistent point and carries that shard's error band, exactly like
-// Estimate. The generic path falls back to per-item queries.
+// for concurrent use. The batch is partitioned by shard with the same
+// counting sort as the write path, each shard is queried under one lock
+// acquisition through its batch lookup (the pipelined probe kernel on
+// the parallel-array backend), and the results are scattered back to
+// input order. Each estimate reflects its own shard at a consistent
+// point and carries that shard's error band, exactly like Estimate.
 func (c *Concurrent[T]) EstimateBatch(items []T, dst []int64) []int64 {
-	if c.fast != nil {
-		return c.fast.EstimateBatch(asInt64Slice(items), dst)
-	}
 	if cap(dst) < len(items) {
 		dst = make([]int64, len(items))
 	} else {
 		dst = dst[:len(items)]
 	}
+	if len(items) == 0 {
+		return dst
+	}
+	idx, ends := c.partition(items)
+	run := make([]T, len(items))
+	pos := make([]int32, len(items))
+	vals := make([]int64, len(items))
 	for i, item := range items {
-		dst[i] = c.Estimate(item)
+		j := idx[i]
+		run[ends[j]], pos[ends[j]] = item, int32(i)
+		ends[j]++
+	}
+	lo := 0
+	for j, hi := range ends {
+		if lo < hi {
+			sh := &c.shards[j]
+			sh.mu.Lock()
+			sh.s.EstimateBatch(run[lo:hi], vals[lo:hi])
+			sh.mu.Unlock()
+		}
+		lo = hi
+	}
+	for p, i := range pos {
+		dst[i] = vals[p]
 	}
 	return dst
 }
 
 // LowerBound returns a certain lower bound on item's frequency.
 func (c *Concurrent[T]) LowerBound(item T) int64 {
-	if c.fast != nil {
-		return c.fast.LowerBound(asInt64(item))
-	}
 	sh := c.shardFor(item)
 	sh.mu.Lock()
 	v := sh.s.LowerBound(item)
@@ -244,9 +295,6 @@ func (c *Concurrent[T]) LowerBound(item T) int64 {
 
 // UpperBound returns a certain upper bound on item's frequency.
 func (c *Concurrent[T]) UpperBound(item T) int64 {
-	if c.fast != nil {
-		return c.fast.UpperBound(asInt64(item))
-	}
 	sh := c.shardFor(item)
 	sh.mu.Lock()
 	v := sh.s.UpperBound(item)
@@ -255,14 +303,12 @@ func (c *Concurrent[T]) UpperBound(item T) int64 {
 }
 
 // StreamWeight returns N summed over shards — a consistent total only
-// when no updates race the call.
+// when no updates race the call; under concurrency it is a lower bound
+// on the weight of all updates that started before it returned.
 func (c *Concurrent[T]) StreamWeight() int64 {
-	if c.fast != nil {
-		return c.fast.StreamWeight()
-	}
 	var n int64
-	for i := range c.slow {
-		sh := &c.slow[i]
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
 		n += sh.s.StreamWeight()
 		sh.mu.Unlock()
@@ -273,87 +319,144 @@ func (c *Concurrent[T]) StreamWeight() int64 {
 // MaximumError returns the largest per-shard error band; every estimate
 // is within its own shard's (smaller or equal) band.
 func (c *Concurrent[T]) MaximumError() int64 {
-	if c.fast != nil {
-		return c.fast.MaximumError()
-	}
 	var worst int64
-	for i := range c.slow {
-		sh := &c.slow[i]
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
-		if e := sh.s.MaximumError(); e > worst {
-			worst = e
-		}
+		worst = max(worst, sh.s.MaximumError())
 		sh.mu.Unlock()
 	}
 	return worst
+}
+
+// maxMergeWorkers bounds the fan-in parallelism of the view/snapshot
+// merge; beyond a handful of workers the serial combine step and memory
+// bandwidth dominate.
+const maxMergeWorkers = 8
+
+// mergeSketch returns an empty summary with the shards' decrement
+// policy and sample size and the given counter budget, to merge shards
+// into. Growth stays enabled: the disjoint merge pre-grows to the
+// actual counter count in one step, so a sparse sketch gets a small
+// merged table instead of one sized for the full budget. Under a pinned
+// seed its hash seed is derived per salt, so worker partials and the
+// combined output never share a hash function; unpinned sketches keep
+// the random per-sketch draw.
+func (c *Concurrent[T]) mergeSketch(budget int, salt uint64) (*Sketch[T], error) {
+	cfg := c.cfg
+	cfg.k, cfg.noGrowth = budget, false
+	if cfg.seed != 0 {
+		cfg.seed = mixSeed(mixSeed(cfg.seed^0x51ed270b9f602a4d) + (salt+1)*0x9e3779b97f4a7c15)
+	}
+	return newFromConfig[T](cfg)
+}
+
+// budget returns the summed counter budgets of shards w, w+step, ...
+func (c *Concurrent[T]) budget(w, step int) int {
+	k := 0
+	for i := w; i < len(c.shards); i += step {
+		//freqvet:ignore epochlock MaxCounters is construction-time config, immutable after New
+		k += c.shards[i].s.MaxCounters()
+	}
+	return k
+}
+
+// mergeShards folds shards w, w+step, ... into dst, each under its own
+// lock. When epochs is non-nil, each shard's epoch is captured under the
+// same lock hold as its merge, so it describes exactly the state folded
+// in.
+func (c *Concurrent[T]) mergeShards(dst *Sketch[T], w, step int, epochs []uint64) {
+	for i := w; i < len(c.shards); i += step {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		if epochs != nil {
+			epochs[i] = sh.epoch.Load()
+		}
+		dst.mergeDisjoint(sh.s)
+		sh.mu.Unlock()
+	}
+}
+
+// merge merges every shard into one summary — the kernel shared by
+// Snapshot and View. Items are hash-partitioned, so shard item sets are
+// disjoint, and the combined budget admits every counter, so no
+// decrement fires and the result is exact over the shards' states. With
+// more than one worker the shards are folded into per-worker partial
+// summaries concurrently (worker w takes shards w, w+workers, ...; each
+// shard is locked only while it is read) and the disjoint partials are
+// combined in worker order.
+func (c *Concurrent[T]) merge(epochs []uint64) (*Sketch[T], error) {
+	out, err := c.mergeSketch(c.budget(0, 1), 0)
+	if err != nil {
+		return nil, err
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(c.shards), maxMergeWorkers)
+	if workers <= 1 {
+		c.mergeShards(out, 0, 1, epochs)
+		return out, nil
+	}
+	partials := make([]*Sketch[T], workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := c.mergeSketch(c.budget(w, workers), uint64(w)+1)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			c.mergeShards(p, w, workers, epochs)
+			partials[w] = p
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	for _, p := range partials {
+		out.mergeDisjoint(p)
+	}
+	return out, nil
 }
 
 // View returns the epoch-cached snapshot-isolated read view: a single
 // merged summary of all shards (Algorithm 5), rebuilt only when some
 // shard has been written since the last call — repeated reads with no
 // interleaved writes reuse the cache and perform zero additional shard
-// merges. The view is immutable, safe for any number of concurrent
-// readers, and keeps answering from its frozen state while the live
-// sketch moves on. Its bounds are the merged summary's single global
-// error band (the same answer a coordinator holding the merged snapshot
-// would give), in contrast to the tighter per-shard bands of the live
-// point queries. A top-k Query on the live sketch usually skips the
-// rebuild (see Query); one on the view ranks the frozen state.
+// merges. A rebuild runs the parallel merge; a write landing after a
+// shard was read bumps its epoch and invalidates the cache. The view is
+// immutable, safe for any number of concurrent readers, and keeps
+// answering from its frozen state while the live sketch moves on. A
+// view taken under concurrent updates reflects each shard at a
+// (possibly different) consistent point, exactly like Snapshot. Its
+// bounds are the merged summary's single global error band (the same
+// answer a coordinator holding the merged snapshot would give), in
+// contrast to the tighter per-shard bands of the live point queries. A
+// top-k Query on the live sketch usually skips the rebuild (see Query);
+// one on the view ranks the frozen state.
 func (c *Concurrent[T]) View() (*View[T], error) {
-	if c.fast != nil {
-		v, err := c.fast.View()
-		if err != nil {
-			return nil, mapCoreErr(err)
-		}
-		return &View[T]{sk: &Sketch[T]{fast: v}}, nil
-	}
-	v, err := c.slowView()
-	if err != nil {
-		return nil, err
-	}
-	return &View[T]{sk: &Sketch[T]{slow: v}}, nil
-}
-
-// slowView is View for the generic backend: same epoch-cache protocol as
-// internal/sharded, over the map-backed per-shard sketches.
-func (c *Concurrent[T]) slowView() (*items.Sketch[T], error) {
 	c.viewMu.Lock()
 	defer c.viewMu.Unlock()
-	if c.view != nil && c.slowViewFresh() {
-		return c.view, nil
+	if c.view == nil || !c.viewFresh() {
+		v, err := c.merge(c.viewEpochs)
+		if err != nil {
+			return nil, err
+		}
+		c.view = v
+		c.viewMerges += int64(len(c.shards))
 	}
-	total := 0
-	for i := range c.slow {
-		//freqvet:ignore epochlock MaxCounters is construction-time config, immutable after New
-		total += c.slow[i].s.MaxCounters()
-	}
-	//freqvet:ignore epochlock Quantile and SampleSize are construction-time config, immutable after New
-	out, err := items.NewWithConfig[T](total, c.slow[0].s.Quantile(), c.slow[0].s.SampleSize())
-	if err != nil {
-		return nil, err
-	}
-	if c.viewEpochs == nil {
-		c.viewEpochs = make([]uint64, len(c.slow))
-	}
-	for i := range c.slow {
-		sh := &c.slow[i]
-		sh.mu.Lock()
-		c.viewEpochs[i] = sh.epoch.Load()
-		out.Merge(sh.s)
-		sh.mu.Unlock()
-		c.viewMerges++
-	}
-	c.view = out
-	return out, nil
+	return &View[T]{sk: c.view}, nil
 }
 
-// slowViewFresh reports whether no shard changed since the cached view
-// was built. Caller holds viewMu.
+// viewFresh reports whether no shard has been written since the cached
+// view was built. Caller holds viewMu.
 //
 //freq:locked(viewMu)
-func (c *Concurrent[T]) slowViewFresh() bool {
-	for i := range c.slow {
-		if c.slow[i].epoch.Load() != c.viewEpochs[i] {
+func (c *Concurrent[T]) viewFresh() bool {
+	for i := range c.shards {
+		if c.shards[i].epoch.Load() != c.viewEpochs[i] {
 			return false
 		}
 	}
@@ -365,9 +468,6 @@ func (c *Concurrent[T]) slowViewFresh() bool {
 // works: the count stays flat across repeated reads with no interleaved
 // writes.
 func (c *Concurrent[T]) ViewMerges() int64 {
-	if c.fast != nil {
-		return c.fast.ViewMerges()
-	}
 	c.viewMu.Lock()
 	defer c.viewMu.Unlock()
 	return c.viewMerges
@@ -397,25 +497,42 @@ func (c *Concurrent[T]) Query() *Query[T] { return From[T](c) }
 
 // topRows returns rows of the merged view among which are the n that
 // sort first by descending estimate, or false when it cannot tell which
-// those are without the view; only the fast backend tries. Shards hold
-// disjoint items and the view merges them without a decrement, so an
-// item's row in the view is its shard's counter c plus the summed shard
-// offsets O, (c+O, c, c+O), and the view's top n lies in the union of
-// the shards' largest counters. Each shard lists n+1 of them, so that
-// what a shard leaves out is bounded by its (n+1)-th counter and a
-// single shard, or one holding most of the top n, can still tell. An
-// unlisted item holds at most cut, so when at least n listed counters
-// exceed cut, every row at or below it sorts after them and is dropped;
-// when no shard was cut, every row is listed. Otherwise (counters tie at
-// a shard's cut, as on flat unit-weight traffic) it reports false.
+// those are without the view. Shards hold disjoint items and the view
+// merges them without a decrement, so an item's row in the view is its
+// shard's counter c plus the summed shard offsets O, (c+O, c, c+O), and
+// the view's top n lies in the union of the shards' largest counters.
+// Each shard lists n+1 of them, under its own lock together with its
+// offset, so that what a shard leaves out is bounded by its (n+1)-th
+// counter and a single shard, or one holding most of the top n, can
+// still tell. An unlisted item holds at most cut, the largest of the
+// smallest listed counters of the shards that held more than they
+// listed, so when at least n listed counters exceed cut, every row at or
+// below it sorts after them and is dropped; when no shard was cut,
+// every row is listed. Otherwise (counters tie at a shard's cut, as on
+// flat unit-weight traffic) it reports false.
 func (c *Concurrent[T]) topRows(n int) ([]Row[T], bool) {
-	if c.fast == nil {
-		return nil, false
+	m := n + min(1, math.MaxInt-n)
+	var pairs []pair[T]
+	var offset int64
+	cut := int64(-1)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		base := len(pairs)
+		pairs = sh.s.appendLargest(pairs, m)
+		offset += sh.s.MaximumError()
+		if sh.s.NumActive() > m {
+			least := int64(math.MaxInt64)
+			for _, p := range pairs[base:] {
+				least = min(least, p.weight)
+			}
+			cut = max(cut, least)
+		}
+		sh.mu.Unlock()
 	}
-	pairs, offset, cut := c.fast.AppendLargest(nil, n+min(1, math.MaxInt-n))
 	above := 0
 	for _, p := range pairs {
-		if p.Value > cut {
+		if p.weight > cut {
 			above++
 		}
 	}
@@ -424,47 +541,20 @@ func (c *Concurrent[T]) topRows(n int) ([]Row[T], bool) {
 	}
 	rows := make([]Row[T], 0, above)
 	for _, p := range pairs {
-		if p.Value > cut {
-			rows = append(rows, Row[T]{Item: fromInt64[T](p.Key), Estimate: p.Value + offset, LowerBound: p.Value, UpperBound: p.Value + offset})
+		if p.weight > cut {
+			rows = append(rows, Row[T]{Item: p.item, Estimate: p.weight + offset, LowerBound: p.weight, UpperBound: p.weight + offset})
 		}
 	}
 	return rows, true
 }
 
 // Snapshot merges all shards into a single fresh Sketch with the combined
-// counter budget via Algorithm 5. The result is independent of the
-// concurrent sketch and is the unit of serialization and cross-process
-// merging: snapshot, ship, Merge. Shards are locked one at a time, so a
-// snapshot taken under concurrent updates reflects each shard at a
-// (possibly different) consistent point.
-func (c *Concurrent[T]) Snapshot() (*Sketch[T], error) {
-	if c.fast != nil {
-		snap, err := c.fast.Snapshot()
-		if err != nil {
-			return nil, mapCoreErr(err)
-		}
-		return &Sketch[T]{fast: snap}, nil
-	}
-	total := 0
-	for i := range c.slow {
-		//freqvet:ignore epochlock MaxCounters is construction-time config, immutable after New
-		total += c.slow[i].s.MaxCounters()
-	}
-	// Carry the shards' shared decrement policy and sample size over to
-	// the merged summary.
-	//freqvet:ignore epochlock Quantile and SampleSize are construction-time config, immutable after New
-	out, err := items.NewWithConfig[T](total, c.slow[0].s.Quantile(), c.slow[0].s.SampleSize())
-	if err != nil {
-		return nil, err
-	}
-	for i := range c.slow {
-		sh := &c.slow[i]
-		sh.mu.Lock()
-		out.Merge(sh.s)
-		sh.mu.Unlock()
-	}
-	return &Sketch[T]{slow: out}, nil
-}
+// counter budget via Algorithm 5 (the parallel merge behind View). The
+// result is independent of the concurrent sketch and is the unit of
+// serialization and cross-process merging: snapshot, ship, Merge. Shards
+// are locked one at a time, so a snapshot taken under concurrent updates
+// reflects each shard at a (possibly different) consistent point.
+func (c *Concurrent[T]) Snapshot() (*Sketch[T], error) { return c.merge(nil) }
 
 // MarshalBinary implements encoding.BinaryMarshaler by serializing a
 // snapshot; decode it with Sketch.UnmarshalBinary.
@@ -476,17 +566,16 @@ func (c *Concurrent[T]) MarshalBinary() ([]byte, error) {
 	return snap.MarshalBinary()
 }
 
-// Reset clears every shard (and invalidates any cached read view).
+// Reset clears every shard in place (and invalidates any cached read
+// view). Each shard keeps its table allocation, growth included, so a
+// reset allocates nothing and the next write burst skips the ramp-up
+// rehashes; memory stays at the high-water mark.
 func (c *Concurrent[T]) Reset() {
-	if c.fast != nil {
-		c.fast.Reset()
-		return
-	}
-	for i := range c.slow {
-		sh := &c.slow[i]
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.epoch.Add(1)
-		sh.s.Reset()
+		sh.s.clearInPlace()
 		sh.mu.Unlock()
 	}
 }

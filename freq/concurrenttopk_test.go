@@ -7,9 +7,11 @@ package freq
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -74,9 +76,12 @@ func checkConcurrentRanks[T comparable](t testing.TB, name string, c *Concurrent
 // runTopKShapes builds each shape over 1, 2 and 8 shards, with and
 // without WithoutGrowth, at two seeds, and runs the differential on it
 // full, after a further quarter of the stream, and after a Reset and a
-// refill.
-func runTopKShapes[T comparable](t *testing.T, shapes []topKShape[T], probe T, paths *[2]int) {
+// refill, counting each shape's listed answers and view scans in
+// paths[shape name].
+func runTopKShapes[T comparable](t *testing.T, shapes []topKShape[T], probe T, paths map[string]*[2]int) {
 	for _, sh := range shapes {
+		counts := new([2]int)
+		paths[sh.name] = counts
 		for _, shards := range []int{1, 2, 8} {
 			for _, growth := range []bool{true, false} {
 				for seed := uint64(1); seed <= 2; seed++ {
@@ -100,12 +105,12 @@ func runTopKShapes[T comparable](t *testing.T, shapes []topKShape[T], probe T, p
 						}
 					}
 					fill(0, sh.n)
-					checkConcurrentRanks(t, name, c, probe, paths)
+					checkConcurrentRanks(t, name, c, probe, counts)
 					fill(sh.n, sh.n+sh.n/4)
-					checkConcurrentRanks(t, name+"/more", c, probe, paths)
+					checkConcurrentRanks(t, name+"/more", c, probe, counts)
 					c.Reset()
 					fill(0, sh.n/2)
-					checkConcurrentRanks(t, name+"/reset", c, probe, paths)
+					checkConcurrentRanks(t, name+"/reset", c, probe, counts)
 				}
 			}
 		}
@@ -115,15 +120,16 @@ func runTopKShapes[T comparable](t *testing.T, shapes []topKShape[T], probe T, p
 // TestConcurrentTopKMatchesView is the ranking differential: on a
 // skewed packet trace, flat unit weights, counts that tie exactly at a
 // shard's cut, negative ids, uint64 ids at or above 2^63 (ranked
-// unsigned) and string items (the generic backend, which always scans
-// the view), a limited Concurrent query returns the view's rows, and
-// both the listed path and the view scan run.
+// unsigned) and string items (the generic backend), a limited
+// Concurrent query returns the view's rows. Both the listed path and the
+// view scan run, and the string shape lists too: the generic backend
+// ranks from its shards' largest counters like the int64 one.
 func TestConcurrentTopKMatchesView(t *testing.T) {
 	trace, err := streamgen.PacketTrace(streamgen.TraceConfig{Packets: 20_000, DistinctSources: 8_000, Alpha: 1.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var paths [2]int
+	paths := map[string]*[2]int{}
 	rank := func(z *streamgen.Zipf) int64 { return int64(z.Next()) }
 	runTopKShapes(t, []topKShape[int64]{
 		{"packet-trace", 512, 16_000, func(_ *xrand.SplitMix64, _ *streamgen.Zipf, i int) (int64, int64) {
@@ -145,21 +151,30 @@ func TestConcurrentTopKMatchesView(t *testing.T) {
 		{"negative", 512, 12_000, func(rng *xrand.SplitMix64, z *streamgen.Zipf, _ int) (int64, int64) {
 			return -1 - rank(z), 1 + int64(rng.Uint64n(4))
 		}},
-	}, 0, &paths)
+	}, 0, paths)
 	runTopKShapes(t, []topKShape[uint64]{
 		{"uint64-high-bit", 512, 12_000, func(_ *xrand.SplitMix64, z *streamgen.Zipf, _ int) (uint64, int64) {
 			r := uint64(z.Next())
 			return r>>1 | r<<63, 1
 		}},
-	}, 0, &paths)
+	}, 0, paths)
 	runTopKShapes(t, []topKShape[string]{
 		{"string", 512, 8_000, func(rng *xrand.SplitMix64, z *streamgen.Zipf, _ int) (string, int64) {
 			return fmt.Sprintf("i%d", z.Next()), 1 + int64(rng.Uint64n(3))
 		}},
-	}, "", &paths)
-	t.Logf("%d listed answers, %d view scans", paths[0], paths[1])
-	if paths[0] == 0 || paths[1] == 0 {
-		t.Fatalf("paths not both exercised: %d listed, %d view scans", paths[0], paths[1])
+	}, "", paths)
+	var total [2]int
+	for _, name := range slices.Sorted(maps.Keys(paths)) {
+		p := paths[name]
+		t.Logf("%s: %d listed answers, %d view scans", name, p[0], p[1])
+		total[0] += p[0]
+		total[1] += p[1]
+	}
+	if total[0] == 0 || total[1] == 0 {
+		t.Fatalf("paths not both exercised: %d listed, %d view scans", total[0], total[1])
+	}
+	if paths["string"][0] == 0 {
+		t.Fatal("the string shape never listed: the generic backend scanned the view on every read")
 	}
 }
 
@@ -284,14 +299,20 @@ func TestConcurrentTopKRace(t *testing.T) {
 // FuzzConcurrentTopK runs the ranking differential over fuzzed streams,
 // shard counts, k and offsets: a seeded stream over a fuzzed universe
 // and weight range, into small shards so that small k both list and
-// fall back.
+// fall back. A string-keyed copy of the stream runs the same
+// differential on the generic backend.
 func FuzzConcurrentTopK(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint16(600), uint16(5000), uint8(1), 2, 0)
 	f.Add(uint64(2), uint8(0), uint16(2000), uint16(300), uint8(0), 1, 1)
 	f.Add(uint64(3), uint8(7), uint16(900), uint16(64), uint8(9), 7, 7)
 	f.Add(uint64(4), uint8(1), uint16(50), uint16(1), uint8(200), 0, -1)
 	f.Fuzz(func(t *testing.T, seed uint64, shards uint8, n, universe uint16, maxWeight uint8, k, o int) {
-		c, err := NewConcurrent[int64](128, WithShards(1+int(shards%8)), WithSeed(seed|1))
+		opts := []Option{WithShards(1 + int(shards%8)), WithSeed(seed | 1)}
+		c, err := NewConcurrent[int64](128, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewConcurrent[string](128, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,23 +325,34 @@ func FuzzConcurrentTopK(f *testing.F) {
 				if err := c.Update(item, w); err != nil {
 					t.Fatal(err)
 				}
+				if err := s.Update(strconv.FormatInt(item, 10), w); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for round := range 2 {
 			fill()
-			for _, k := range []int{k, k % 8, 1} {
-				for _, o := range []int{o, o % 8} {
-					page := func(q *Query[int64]) *Query[int64] { return q.Offset(o).Limit(k) }
-					got, listed := listedRead(t, c, 0, page)
-					v, err := c.View()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := page(v.Query()).Collect(); !slices.Equal(got, want) {
-						t.Fatalf("round %d: Offset(%d).Limit(%d) (listed %v):\n got %v\nwant %v", round, o, k, listed, got, want)
-					}
-				}
-			}
+			fuzzRanks(t, round, c, 0, k, o)
+			fuzzRanks(t, round, s, "", k, o)
 		}
 	})
+}
+
+// fuzzRanks compares Offset(o).Limit(k) over c with the same query over
+// c.View() for the fuzzed k and o and their residues mod 8, and k = 1.
+func fuzzRanks[T comparable](t *testing.T, round int, c *Concurrent[T], probe T, k, o int) {
+	t.Helper()
+	for _, k := range []int{k, k % 8, 1} {
+		for _, o := range []int{o, o % 8} {
+			page := func(q *Query[T]) *Query[T] { return q.Offset(o).Limit(k) }
+			got, listed := listedRead(t, c, probe, page)
+			v, err := c.View()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := page(v.Query()).Collect(); !slices.Equal(got, want) {
+				t.Fatalf("round %d: Offset(%d).Limit(%d) (listed %v):\n got %v\nwant %v", round, o, k, listed, got, want)
+			}
+		}
+	}
 }

@@ -168,6 +168,51 @@ func (s *Sketch[T]) Update(item T, weight int64) error {
 	return s.slow.Update(item, weight)
 }
 
+// update is Update for callers that already rejected negative weights:
+// one call into the backend.
+func (s *Sketch[T]) update(item T, weight int64) error {
+	if s.fast != nil {
+		return s.fast.Update(asInt64(item), weight)
+	}
+	return s.slow.Update(item, weight)
+}
+
+// updatePairs applies pairs in order, all or nothing: a negative weight
+// anywhere rejects the whole run before any update. It is how every
+// batch reaches a Concurrent's shards (a Writer's flush, a partitioned
+// UpdateWeightedBatch): the parallel-array backend takes the pair
+// buffer as-is.
+//
+//freq:noalloc
+func (s *Sketch[T]) updatePairs(pairs []pair[T]) error {
+	if s.fast != nil {
+		return s.fast.UpdatePairs(asPairSlice(pairs))
+	}
+	for _, p := range pairs {
+		if p.weight < 0 {
+			//freqvet:ignore noalloc cold rejection path; the run is refused before any work
+			return negativeWeight(p.weight)
+		}
+	}
+	for _, p := range pairs {
+		_ = s.slow.Update(p.item, p.weight)
+	}
+	return nil
+}
+
+// mergeDisjoint folds other into s like Merge, for summaries that track
+// disjoint item sets (a Concurrent's shards, and partial merges of
+// them): the parallel-array backend skips the found check and pre-grows
+// once (core.MergeDisjoint), whose answers equal Merge's whenever s's
+// budget admits every counter.
+func (s *Sketch[T]) mergeDisjoint(other *Sketch[T]) {
+	if s.fast != nil {
+		s.fast.MergeDisjoint(other.fast)
+		return
+	}
+	s.slow.Merge(other.slow)
+}
+
 // UpdateOne adds a unit-weight occurrence of item.
 func (s *Sketch[T]) UpdateOne(item T) {
 	if s.fast != nil {

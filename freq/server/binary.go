@@ -126,40 +126,9 @@ func (c *conn) binaryFrame() (quit, ok bool) {
 	}
 	switch op {
 	case opPairs:
-		if c.binVer >= 2 {
-			if !c.pairsFrameV2(n) {
-				return false, false
-			}
-			break
+		if !c.pairsFrame(n) {
+			return false, false
 		}
-		if n%pairSize != 0 {
-			// The length is trustworthy (≤ cap) even though the payload
-			// is malformed: discard it whole and keep the stream
-			// synchronized, like the text UB drain.
-			if _, err := c.r.Discard(int(n)); err != nil {
-				return false, false
-			}
-			//freqvet:ignore noalloc cold malformed-frame path; the payload was discarded, not ingested
-			c.errFrame(fmt.Sprintf("pairs frame length %d is not a multiple of %d", n, pairSize))
-			break
-		}
-		pairs := c.framePayload(int(n) / pairSize)
-		if len(pairs) > 0 {
-			buf := unsafe.Slice((*byte)(unsafe.Pointer(&pairs[0])), n)
-			if _, err := io.ReadFull(c.r, buf); err != nil {
-				return false, false
-			}
-			if !hostLittleEndian {
-				decodePairsInPlace(buf, pairs)
-			}
-		}
-		if err := c.ingestPairs(pairs); err != nil {
-			// All-or-nothing: AddPairs validated before buffering, so
-			// the sketch is untouched and the connection stays usable.
-			c.errFrame(err.Error())
-			break
-		}
-		c.okFrame(len(pairs))
 	case opCmd:
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(c.r, payload); err != nil {
@@ -179,45 +148,59 @@ func (c *conn) binaryFrame() (quit, ok bool) {
 	return quit, true
 }
 
-// pairsFrameV2 serves one v2 opPairs payload of n bytes:
-// [2B id length][id][pairs]. An empty id ingests into the global
-// summary exactly like a v1 frame; a non-empty id acquires that tenant
-// and applies the pairs as one all-or-nothing batch. Reports whether
-// the connection can keep going; every malformed-but-bounded payload is
-// consumed whole before the ERR reply, so the stream stays
-// synchronized. This is the tenant ingest hot path and stays
-// allocation-free at steady state (registry-hit acquires and within-cap
-// buffer reuse); the error formatting below is cold by definition.
+// pairsFrame serves one opPairs payload of n bytes: the pairs alone on
+// BIN 1, [2B id length][id][pairs] on BIN 2. A v1 frame is a v2 frame
+// with an implied empty id, which ingests into the global summary; a
+// non-empty id acquires that tenant and applies the pairs as one
+// all-or-nothing batch. Reports whether the connection can keep going;
+// every malformed-but-bounded payload is consumed whole before the ERR
+// reply, so the stream stays synchronized. This is the ingest hot path
+// of both framings and stays allocation-free at steady state
+// (registry-hit acquires and within-cap buffer reuse); the error
+// formatting below is cold by definition.
 //
 //freq:noalloc
-func (c *conn) pairsFrameV2(n uint32) (ok bool) {
-	if n < 2 {
-		if _, err := c.r.Discard(int(n)); err != nil {
+func (c *conn) pairsFrame(n uint32) (ok bool) {
+	rest, idLen := int(n), 0
+	if c.binVer >= 2 {
+		if n < 2 {
+			if _, err := c.r.Discard(rest); err != nil {
+				return false
+			}
+			c.errFrame("v2 pairs frame shorter than its id-length header")
+			return true
+		}
+		if _, err := io.ReadFull(c.r, c.hdr[:2]); err != nil {
 			return false
 		}
-		c.errFrame("v2 pairs frame shorter than its id-length header")
-		return true
-	}
-	if _, err := io.ReadFull(c.r, c.hdr[:2]); err != nil {
-		return false
-	}
-	idLen := int(binary.LittleEndian.Uint16(c.hdr[:2]))
-	rest := int(n) - 2
-	if idLen > tenant.MaxIDLen || idLen > rest || (rest-idLen)%pairSize != 0 {
-		// Bounded garbage: consume the payload, answer, keep going.
+		idLen = int(binary.LittleEndian.Uint16(c.hdr[:2]))
+		rest -= 2
+		if idLen > tenant.MaxIDLen || idLen > rest || (rest-idLen)%pairSize != 0 {
+			// Bounded garbage: consume the payload, answer, keep going.
+			if _, err := c.r.Discard(rest); err != nil {
+				return false
+			}
+			//freqvet:ignore noalloc cold malformed-frame path; the payload was discarded, not ingested
+			c.errFrame(fmt.Sprintf("malformed v2 pairs frame: id length %d, payload %d", idLen, rest))
+			return true
+		}
+		if cap(c.idBuf) < idLen {
+			c.idBuf = make([]byte, idLen, tenant.MaxIDLen)
+		}
+		c.idBuf = c.idBuf[:idLen]
+		if _, err := io.ReadFull(c.r, c.idBuf); err != nil {
+			return false
+		}
+	} else if rest%pairSize != 0 {
+		// The length is trustworthy (≤ cap) even though the payload is
+		// malformed: discard it whole and keep the stream synchronized,
+		// like the text UB drain.
 		if _, err := c.r.Discard(rest); err != nil {
 			return false
 		}
 		//freqvet:ignore noalloc cold malformed-frame path; the payload was discarded, not ingested
-		c.errFrame(fmt.Sprintf("malformed v2 pairs frame: id length %d, payload %d", idLen, rest))
+		c.errFrame(fmt.Sprintf("pairs frame length %d is not a multiple of %d", n, pairSize))
 		return true
-	}
-	if cap(c.idBuf) < idLen {
-		c.idBuf = make([]byte, idLen, tenant.MaxIDLen)
-	}
-	c.idBuf = c.idBuf[:idLen]
-	if _, err := io.ReadFull(c.r, c.idBuf); err != nil {
-		return false
 	}
 	npairs := (rest - idLen) / pairSize
 	pairs := c.framePayload(npairs)
@@ -231,7 +214,9 @@ func (c *conn) pairsFrameV2(n uint32) (ok bool) {
 		}
 	}
 	if idLen == 0 {
-		// Global scope: identical semantics to a v1 pairs frame.
+		// Global scope. All-or-nothing: AddPairs validated before
+		// buffering, so on an error the sketch is untouched and the
+		// connection stays usable.
 		if err := c.ingestPairs(pairs); err != nil {
 			c.errFrame(err.Error())
 			return true

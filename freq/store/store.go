@@ -66,7 +66,8 @@ func WithCodec(c Codec) Option {
 }
 
 // WithRetentionAge drops partitions whose entire coverage is older than
-// age (checked at each append and via EnforceRetention). Zero, the
+// age, the one receiving appends included (checked at each append to a
+// history and, for every history, via EnforceRetention). Zero, the
 // default, keeps everything.
 func WithRetentionAge(age time.Duration) Option {
 	return func(o *options) error {
@@ -78,9 +79,11 @@ func WithRetentionAge(age time.Duration) Option {
 	}
 }
 
-// WithRetentionBytes drops oldest partitions while the store exceeds n
-// bytes on disk (the current append partition is never dropped). Zero,
-// the default, sets no byte budget.
+// WithRetentionBytes drops oldest partitions while a history exceeds n
+// bytes on disk (the partition receiving its appends is never dropped).
+// The budget applies per history: the default history and each tenant
+// history under tenants/ may each hold n bytes. Zero, the default, sets
+// no byte budget.
 func WithRetentionBytes(n int64) Option {
 	return func(o *options) error {
 		if n < 0 {
@@ -144,9 +147,10 @@ type Store[T comparable] struct {
 	qPool       sync.Pool // *rangeQuery[T]
 	scratchPool sync.Pool // *scratch[T]
 
-	// tmu guards the tenant histories: each is a Store of its own,
-	// opened on first use and closed least recently used beyond
-	// maxOpen (its manifest committed), to reopen on the next touch.
+	// tmu guards the tenant histories, keyed by their escaped directory
+	// names: each is a Store of its own, opened on first use and closed
+	// least recently used beyond maxOpen (its manifest committed), to
+	// reopen on the next touch.
 	tmu sync.Mutex
 	//freq:guardedBy(tmu)
 	tenants map[string]*tenantEntry[T]
@@ -378,23 +382,30 @@ func (st *Store[T]) appendEncodedLocked(raw []byte, from, to int64, k uint32) er
 			return err
 		}
 	}
-	payload := raw
-	codecID := codecIDNone
+	b, payload := st.encodeBlockLocked(raw, from, to, k)
+	return st.cur.appendBlock(b, payload, st.opt.sync)
+}
+
+// encodeBlockLocked decides the block format, for appends and
+// compaction alike: raw (one encoded sketch covering [from, to), budget
+// k) is compressed by the store codec only when that shrinks it, and
+// the CRC covers the stored payload. The payload aliases raw or the
+// append-side compression buffer.
+func (st *Store[T]) encodeBlockLocked(raw []byte, from, to int64, k uint32) (blockRef, []byte) {
+	payload, codecID := raw, codecIDNone
 	if st.opt.codec.ID() != codecIDNone {
 		st.cmpBuf = st.opt.codec.Encode(st.cmpBuf[:0], raw)
 		if len(st.cmpBuf) < len(raw) {
-			payload = st.cmpBuf
-			codecID = st.opt.codec.ID()
+			payload, codecID = st.cmpBuf, st.opt.codec.ID()
 		}
 	}
-	b := blockRef{
+	return blockRef{
 		from: from, to: to, k: k,
 		rawLen: uint32(len(raw)),
 		encLen: uint32(len(payload)),
 		crc:    crc32.Checksum(payload, castagnoli),
 		codec:  codecID,
-	}
-	return st.cur.appendBlock(b, payload, st.opt.sync)
+	}, payload
 }
 
 // rollLocked closes out the current partition and starts a new one for
@@ -682,15 +693,7 @@ func (st *Store[T]) compactGroupLocked(bucket int64, span time.Duration, group [
 	if err != nil {
 		return err
 	}
-	payload := raw
-	codecID := codecIDNone
-	if st.opt.codec.ID() != codecIDNone {
-		st.cmpBuf = st.opt.codec.Encode(st.cmpBuf[:0], raw)
-		if len(st.cmpBuf) < len(raw) {
-			payload = st.cmpBuf
-			codecID = st.opt.codec.ID()
-		}
-	}
+	b, payload := st.encodeBlockLocked(raw, from, to, uint32(need))
 
 	seq := st.nextSeq
 	st.nextSeq = seq + 1
@@ -707,13 +710,6 @@ func (st *Store[T]) compactGroupLocked(bucket int64, span time.Duration, group [
 		return err
 	}
 	np := &partition{name: name, f: f, partFrom: bucket, span: int64(span), bytes: partHeaderLen}
-	b := blockRef{
-		from: from, to: to, k: uint32(need),
-		rawLen: uint32(len(raw)),
-		encLen: uint32(len(payload)),
-		crc:    crc32.Checksum(payload, castagnoli),
-		codec:  codecID,
-	}
 	if err := np.appendBlock(b, payload, true); err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -760,21 +756,58 @@ func (st *Store[T]) compactGroupLocked(bucket int64, span time.Duration, group [
 }
 
 // EnforceRetention applies the configured age and byte-budget policies
-// now, returning after the expired partitions are deleted. Appends run
-// it automatically; this is the hook for idle stores and tests.
+// now to the default history and then to each tenant history under
+// tenants/, returning after the expired partitions are deleted. An
+// append runs them on the history it lands in; this reaches the
+// histories that stopped appending. Tenant histories are visited one at
+// a time under the tenant lock, opening closed ones through the LRU, and
+// never under the default history's lock, so the rotation sink never
+// waits on the walk.
 func (st *Store[T]) EnforceRetention() error {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
+	err := ErrClosed
+	if !st.closed {
+		err = st.enforceRetentionLocked(time.Now())
 	}
-	return st.enforceRetentionLocked(time.Now())
+	st.mu.Unlock()
+	if err != nil || (st.opt.retainAge <= 0 && st.opt.retainBytes <= 0) {
+		return err
+	}
+	entries, err := os.ReadDir(filepath.Join(st.dir, tenantsDir))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	var errs []error
+	for _, e := range entries {
+		if e.IsDir() {
+			errs = append(errs, st.enforceTenantRetention(e.Name()))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// enforceTenantRetention applies the retention policies to the tenant
+// history in tenants/<name>.
+func (st *Store[T]) enforceTenantRetention(name string) error {
+	st.tmu.Lock()
+	defer st.tmu.Unlock()
+	ts, err := st.tenantLocked(name, false)
+	if ts == nil {
+		return err
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.enforceRetentionLocked(time.Now())
 }
 
 // enforceRetentionLocked drops partitions per the retention options:
 // first everything entirely older than the age horizon, then oldest
-// first while the byte budget is exceeded. The current append partition
-// is never dropped.
+// first while the byte budget is exceeded. The byte budget never drops
+// the append partition; when the age policy drops it, the next append
+// rolls a new one.
 func (st *Store[T]) enforceRetentionLocked(now time.Time) error {
 	if st.opt.retainAge <= 0 && st.opt.retainBytes <= 0 {
 		return nil
@@ -783,7 +816,7 @@ func (st *Store[T]) enforceRetentionLocked(now time.Time) error {
 	if st.opt.retainAge > 0 {
 		cut := now.Add(-st.opt.retainAge).UnixNano()
 		for _, p := range st.parts {
-			if p != st.cur && len(p.blocks) > 0 && p.to <= cut {
+			if len(p.blocks) > 0 && p.to <= cut {
 				drop[p] = true
 			}
 		}
@@ -822,6 +855,9 @@ func (st *Store[T]) enforceRetentionLocked(now time.Time) error {
 	if err := writeManifest(st.dir, st.manifestLocked(), st.opt.sync); err != nil {
 		st.parts = old
 		return err
+	}
+	if drop[st.cur] {
+		st.cur = nil
 	}
 	for p := range drop {
 		p.f.Close()

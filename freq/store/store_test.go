@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -336,6 +337,104 @@ func TestRetentionAge(t *testing.T) {
 	}
 	if got[2] != 6 {
 		t.Fatalf("recent slot dropped: got %v", got)
+	}
+}
+
+// TestRetentionReachesEveryHistory: EnforceRetention expires old data
+// in every history, tenant histories included, and the age policy drops
+// a history's append partition once its whole coverage is past the
+// horizon. The slots are written without retention, three hours back,
+// and a reopen with a one-hour horizon must drop them: the default
+// history's only partition (its append partition) and alice's.
+func TestRetentionReachesEveryHistory(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Now()
+	old := now.Add(-3 * time.Hour)
+	st, err := Open[int64](dir, WithPartitionDuration(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSlot(t, st, old, old.Add(time.Minute), map[int64]int64{1: 5})
+	if err := st.AppendTenant("alice", tenantView(t, map[int64]int64{7: 100}), old, old.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = Open[int64](dir, WithPartitionDuration(time.Hour), WithRetentionAge(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.EnforceRetention(); err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Partitions != 0 {
+		t.Fatalf("the default history kept its expired append partition: %+v", s)
+	}
+	// The next append rolls a new partition.
+	appendSlot(t, st, now.Add(-time.Minute), now, map[int64]int64{2: 6})
+	got := queryWeights(t, st, now.Add(-24*time.Hour), now.Add(time.Hour), []int64{1, 2})
+	if got[1] != 0 || got[2] != 6 {
+		t.Fatalf("default history after retention = %v, want only item 2 at 6", got)
+	}
+	sk, err := st.QueryTenantInto("alice", nil, now.Add(-24*time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := sk.Estimate(7); e != 0 {
+		t.Fatalf("alice's expired slot survived EnforceRetention: Estimate(7) = %d", e)
+	}
+}
+
+// TestEnforceRetentionDuringAppends runs EnforceRetention, which walks
+// the tenant histories, while the default history and three tenants
+// take appends; the race detector guards the locking, and every fresh
+// slot survives.
+func TestEnforceRetentionDuringAppends(t *testing.T) {
+	st, err := Open[int64](t.TempDir(), WithPartitionDuration(time.Minute), WithRetentionAge(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	now := time.Now()
+	v := tenantView(t, map[int64]int64{7: 1})
+	ids := []string{"", "a", "b", "c"}
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				at := now.Add(time.Duration(i) * time.Second)
+				if err := st.AppendTenant(id, v, at, at.Add(time.Second)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 20 {
+			if err := st.EnforceRetention(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	for _, id := range ids {
+		sk, err := st.QueryTenantInto(id, nil, now, now.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := sk.Estimate(7); e != 20 {
+			t.Errorf("history %q: Estimate(7) = %d, want 20", id, e)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func (st *Store[T]) AppendTenant(id string, v *freq.View[T], start, end time.Tim
 	}
 	st.tmu.Lock()
 	defer st.tmu.Unlock()
-	ts, err := st.tenantLocked(id, true)
+	ts, err := st.tenantLocked(escapeTenantID(id), true)
 	if err != nil {
 		return err
 	}
@@ -52,7 +52,7 @@ func (st *Store[T]) QueryTenantInto(id string, dst *freq.Sketch[T], from, to tim
 	}
 	st.tmu.Lock()
 	defer st.tmu.Unlock()
-	ts, err := st.tenantLocked(id, false)
+	ts, err := st.tenantLocked(escapeTenantID(id), false)
 	if err != nil {
 		return dst, err
 	}
@@ -62,21 +62,22 @@ func (st *Store[T]) QueryTenantInto(id string, dst *freq.Sketch[T], from, to tim
 	return ts.QueryInto(dst, from, to)
 }
 
-// tenantLocked returns id's open history, opening (and LRU-closing) as
+// tenantLocked returns the open history in tenants/<name> (name is a
+// tenant id escaped by escapeTenantID), opening (and LRU-closing) as
 // needed. create controls whether a tenant with no on-disk history gets
 // a directory: appends create, queries must not litter.
 //
 //freq:locked(tmu)
-func (st *Store[T]) tenantLocked(id string, create bool) (*Store[T], error) {
+func (st *Store[T]) tenantLocked(name string, create bool) (*Store[T], error) {
 	if st.tenantsClosed {
 		return nil, ErrClosed
 	}
-	if e, ok := st.tenants[id]; ok {
+	if e, ok := st.tenants[name]; ok {
 		st.tenantUse++
 		e.used = st.tenantUse
 		return e.st, nil
 	}
-	dir := filepath.Join(st.dir, tenantsDir, escapeTenantID(id))
+	dir := filepath.Join(st.dir, tenantsDir, name)
 	if !create {
 		if _, err := os.Stat(dir); os.IsNotExist(err) {
 			return nil, nil
@@ -91,12 +92,12 @@ func (st *Store[T]) tenantLocked(id string, create bool) (*Store[T], error) {
 	}
 	ts, err := open[T](dir, st.opt)
 	if err != nil {
-		return nil, fmt.Errorf("store: tenant %q: %w", id, err)
+		return nil, fmt.Errorf("store: tenant history %s: %w", name, err)
 	}
 	ts.serde = st.serde
 	ts.jobs = st.jobs
 	st.tenantUse++
-	st.tenants[id] = &tenantEntry[T]{st: ts, used: st.tenantUse}
+	st.tenants[name] = &tenantEntry[T]{st: ts, used: st.tenantUse}
 	return ts, nil
 }
 
@@ -104,17 +105,17 @@ func (st *Store[T]) tenantLocked(id string, create bool) (*Store[T], error) {
 //
 //freq:locked(tmu)
 func (st *Store[T]) closeLRULocked() error {
-	var victimID string
+	var victimName string
 	var victim *tenantEntry[T]
-	for id, e := range st.tenants {
+	for name, e := range st.tenants {
 		if victim == nil || e.used < victim.used {
-			victimID, victim = id, e
+			victimName, victim = name, e
 		}
 	}
 	if victim == nil {
 		return nil
 	}
-	delete(st.tenants, victimID)
+	delete(st.tenants, victimName)
 	_, err := victim.st.closeHistory()
 	return err
 }
@@ -126,11 +127,11 @@ func (st *Store[T]) closeTenants() error {
 	defer st.tmu.Unlock()
 	st.tenantsClosed = true
 	var err error
-	for id, e := range st.tenants {
+	for name, e := range st.tenants {
 		if _, e2 := e.st.closeHistory(); e2 != nil && err == nil {
 			err = e2
 		}
-		delete(st.tenants, id)
+		delete(st.tenants, name)
 	}
 	return err
 }

@@ -4,7 +4,7 @@
 // optional Windowed twin, geometry stamped from one shared template)
 // and recycles retired tenants' tables through a warm pool, so tenant
 // churn at steady state allocates nothing — the same core.Clear /
-// sharded.Reset machinery that makes window rotation alloc-free.
+// Concurrent.Reset machinery that makes window rotation alloc-free.
 //
 // Quotas bound every axis: MaxCounters caps each tenant's summary,
 // MaxTenants caps the registry (capacity pressure evicts the idlest

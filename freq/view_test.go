@@ -66,24 +66,39 @@ func TestConcurrentCachedViewMergeCountFlat(t *testing.T) {
 	})
 }
 
-// TestConcurrentCachedViewGenericBackend runs the same flat-merge-count
-// contract on the map-backed backend, including Writer flushes and
-// batches as invalidating writes.
+// TestConcurrentCachedViewGenericBackend runs the same contract on the
+// map-backed backend, with Writer flushes and Reset as invalidating
+// writes: a limited read in the default order ranks from the shards'
+// largest counters and merges nothing, and a read that needs the view
+// (Where, View) merges every shard once per write.
 func TestConcurrentCachedViewGenericBackend(t *testing.T) {
 	const shards = 4
 	c, err := freq.NewConcurrent[string](1024, freq.WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
+	viewReads := func() {
+		t.Helper()
+		_ = c.Query().Where(c.MaximumError()).Collect()
+		if _, err := c.View(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c.UpdateBatch([]string{"a", "b", "c", "a"})
-	_ = c.Query().Limit(2).Collect()
+	if got := c.Query().Limit(2).Collect(); len(got) != 2 || got[0].Item != "a" {
+		t.Fatalf("Limit(2) = %v, want a first", got)
+	}
+	if got := c.ViewMerges(); got != 0 {
+		t.Fatalf("Limit(2) merged %d shards, want 0", got)
+	}
+	viewReads()
 	base := c.ViewMerges()
 	if base != shards {
-		t.Fatalf("first read merged %d shards, want %d", base, shards)
+		t.Fatalf("first view read merged %d shards, want %d", base, shards)
 	}
 	for i := 0; i < 5; i++ {
 		_ = c.Query().Limit(2).Collect()
-		_ = c.Query().Where(c.MaximumError()).Collect()
+		viewReads()
 	}
 	if got := c.ViewMerges(); got != base {
 		t.Fatalf("repeated reads grew merge count %d -> %d", base, got)
@@ -101,19 +116,24 @@ func TestConcurrentCachedViewGenericBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := c.Query().Limit(1).Collect(); len(got) != 1 || got[0].Item != "d" {
-		t.Fatalf("TopK after writer flush = %v, want d", got)
+		t.Fatalf("Limit(1) after writer flush = %v, want d", got)
 	}
-	if got := c.ViewMerges(); got <= base {
-		t.Fatalf("writer flush did not invalidate view (merges still %d)", got)
+	if got := c.ViewMerges(); got != base {
+		t.Fatalf("Limit(1) after writer flush merged (%d -> %d)", base, got)
+	}
+	viewReads()
+	if got := c.ViewMerges(); got != base+shards {
+		t.Fatalf("writer flush did not invalidate view (merges %d, want %d)", got, base+shards)
 	}
 
 	// Reset invalidates too.
 	base = c.ViewMerges()
 	c.Reset()
 	if got := c.Query().Limit(1).Collect(); len(got) != 0 {
-		t.Fatalf("TopK after Reset = %v, want empty", got)
+		t.Fatalf("Limit(1) after Reset = %v, want empty", got)
 	}
-	if got := c.ViewMerges(); got <= base {
+	viewReads()
+	if got := c.ViewMerges(); got != base+shards {
 		t.Fatal("Reset did not invalidate view")
 	}
 }

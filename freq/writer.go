@@ -3,7 +3,6 @@ package freq
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"unsafe"
 
 	"repro/internal/hashmap"
@@ -35,24 +34,21 @@ import (
 // racing an unbuffered writer by a few microseconds.
 type Writer[T comparable] struct {
 	c *Concurrent[T]
-	// fast mirrors c.fast so the Add hot path resolves the backend and
-	// the shard route without a second pointer chase or method call.
-	fast      *sharded.Sketch
+	// ints and route mirror c's so the Add hot path resolves an 8-byte
+	// item's shard without a second pointer chase or method call.
+	ints      bool
+	route     sharded.Route
 	batchSize int
 	buffered  int
 	shards    []writerShard[T]
-	// scratch receives a shard's pairs split into the parallel arrays the
-	// generic backend consumes (the fast backend takes the pair buffer
-	// as-is); reused across flushes so steady state allocates nothing.
-	scratchItems   []T
-	scratchWeights []int64
-	closed         bool
+	closed    bool
 }
 
 // pair is one pending update. Item and weight share a cache line, so the
-// Add hot path touches one line per update. On the fast path its layout
-// is exactly hashmap.Pair (an 8-byte item followed by an int64), letting
-// Flush hand the buffer to the bulk backend without re-marshaling.
+// Add hot path touches one line per update. For 8-byte integer items its
+// layout is exactly hashmap.Pair (an 8-byte item followed by an int64),
+// letting a flush hand the buffer to the parallel-array backend without
+// re-marshaling.
 type pair[T comparable] struct {
 	item   T
 	weight int64
@@ -114,12 +110,11 @@ func NewWriter[T comparable](c *Concurrent[T], opts ...Option) (*Writer[T], erro
 	n := c.NumShards()
 	perShard := max(64, 2*cfg.batchSize/n)
 	w := &Writer[T]{
-		c:              c,
-		fast:           c.fast,
-		batchSize:      cfg.batchSize,
-		shards:         make([]writerShard[T], n),
-		scratchItems:   make([]T, perShard),
-		scratchWeights: make([]int64, perShard),
+		c:         c,
+		ints:      c.ints,
+		route:     c.route,
+		batchSize: cfg.batchSize,
+		shards:    make([]writerShard[T], n),
 	}
 	for i := range w.shards {
 		w.shards[i].pairs = make([]pair[T], perShard)
@@ -142,13 +137,13 @@ func (w *Writer[T]) Add(item T, weight int64) error {
 		}
 		return nil
 	}
-	// The fast route inlines (hash, mask); the maphash route cannot and
+	// The 8-byte route inlines (hash, mask); the maphash route cannot and
 	// stays behind a call.
 	var j int
-	if w.fast != nil {
-		j = w.fast.ShardIndex(asInt64(item))
+	if w.ints {
+		j = w.route.ShardIndex(asInt64(item))
 	} else {
-		j = w.slowShardIndex(item)
+		j = w.c.hashIndex(item)
 	}
 	sh := &w.shards[j]
 	if sh.n == len(sh.pairs) {
@@ -189,50 +184,31 @@ func (w *Writer[T]) AddPairs(pairs []Pair[T]) error {
 			return negativeWeight(pairs[i].Weight)
 		}
 	}
-	if w.fast != nil {
-		for i := range pairs {
-			p := pairs[i]
-			if p.Weight == 0 {
-				continue
-			}
-			j := w.fast.ShardIndex(asInt64(p.Item))
-			sh := &w.shards[j]
-			if sh.n == len(sh.pairs) {
-				if err := w.flushShard(j); err != nil {
-					return err
-				}
-			}
-			sh.pairs[sh.n] = pair[T]{p.Item, p.Weight}
-			sh.n++
-			w.buffered++
+	for i := range pairs {
+		p := pairs[i]
+		if p.Weight == 0 {
+			continue
 		}
-	} else {
-		for i := range pairs {
-			p := pairs[i]
-			if p.Weight == 0 {
-				continue
-			}
-			j := w.slowShardIndex(p.Item)
-			sh := &w.shards[j]
-			if sh.n == len(sh.pairs) {
-				if err := w.flushShard(j); err != nil {
-					return err
-				}
-			}
-			sh.pairs[sh.n] = pair[T]{p.Item, p.Weight}
-			sh.n++
-			w.buffered++
+		var j int
+		if w.ints {
+			j = w.route.ShardIndex(asInt64(p.Item))
+		} else {
+			j = w.c.hashIndex(p.Item)
 		}
+		sh := &w.shards[j]
+		if sh.n == len(sh.pairs) {
+			if err := w.flushShard(j); err != nil {
+				return err
+			}
+		}
+		sh.pairs[sh.n] = pair[T]{p.Item, p.Weight}
+		sh.n++
+		w.buffered++
 	}
 	if w.buffered >= w.batchSize {
 		return w.Flush()
 	}
 	return nil
-}
-
-// slowShardIndex routes an item on the generic map-backed backend.
-func (w *Writer[T]) slowShardIndex(item T) int {
-	return int(maphash.Comparable(w.c.hseed, item) & w.c.mask)
 }
 
 // AddOne buffers a unit-weight occurrence of item.
@@ -270,20 +246,11 @@ func (w *Writer[T]) flushShard(j int) error {
 	if sh.n == 0 {
 		return nil
 	}
-	var err error
-	if w.fast != nil {
-		err = w.fast.UpdateShardPairs(j, asPairSlice(sh.pairs[:sh.n]))
-	} else {
-		items, weights := w.scratchItems[:sh.n], w.scratchWeights[:sh.n]
-		for i, p := range sh.pairs[:sh.n] {
-			items[i], weights[i] = p.item, p.weight
-		}
-		csh := &w.c.slow[j]
-		csh.mu.Lock()
-		csh.epoch.Add(1)
-		err = csh.s.UpdateWeightedBatch(items, weights)
-		csh.mu.Unlock()
-	}
+	csh := &w.c.shards[j]
+	csh.mu.Lock()
+	csh.epoch.Add(1)
+	err := csh.s.updatePairs(sh.pairs[:sh.n])
+	csh.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ func bufferOnePerShard(t *testing.T, c *Concurrent[int64], w *Writer[int64]) []i
 	routed := make([]bool, c.NumShards())
 	remaining := c.NumShards()
 	for item := int64(0); remaining > 0; item++ {
-		j := c.fast.ShardIndex(item)
+		j := c.route.ShardIndex(item)
 		if routed[j] {
 			continue
 		}
