@@ -2,7 +2,7 @@
 // — Update, UpdateBatch, Merge, Serialize/Deserialize, View, QueryTopK,
 // ConcurrentTopK, ConcurrentTopKFlat, WindowedRotate, WindowedTopK,
 // WindowedTopKLast, WindowedTopKLastFlat, StoreAppend, StoreQueryRange,
-// TenantChurn, EstimateBatch, and the daemon-side network ingest pair
+// StoreRangeTopK, TenantChurn, EstimateBatch, and the daemon-side network ingest pair
 // ServerIngestText64/ServerIngestBinary64 — and emits the results
 // as BENCH_core.json (the
 // machine-readable perf trajectory committed at the repo root) plus a
@@ -64,6 +64,8 @@ type report struct {
 	GoVersion          string             `json:"go_version"`
 	GOOS               string             `json:"goos"`
 	GOARCH             string             `json:"goarch"`
+	GOMAXPROCS         int                `json:"gomaxprocs"`
+	NumCPU             int                `json:"num_cpu"`
 	Benchtime          string             `json:"benchtime"`
 	GeneratedAt        string             `json:"generated_at"`
 	Results            []result           `json:"results"`
@@ -385,6 +387,14 @@ func kernels() []kernel {
 				}
 			}
 		}},
+		{"StoreRangeTopK", func(b *testing.B) {
+			// The history read, RANGE over the last 15 minutes TOPK 64:
+			// 15 full k = 4096 one-minute slots of a Zipf 1.1 packet
+			// trace in one 1 h LZ partition, decoded and folded into a
+			// reused accumulator (QueryInto), then ranked
+			// (Query().Limit(64)), as freqd's readRange does.
+			benchStoreRangeTopK(b)
+		}},
 		{"ServerIngestText64", func(b *testing.B) {
 			benchServerIngest(b, 64, false)
 		}},
@@ -481,6 +491,62 @@ func benchTopKLast(b *testing.B, skewed bool) {
 		cw.UpdateOne(items[i%len(items)])
 		b.StartTimer()
 		if rows := cw.TopKLast(slots, 64); len(rows) != 64 {
+			b.Fatalf("%d rows", len(rows))
+		}
+	}
+}
+
+// benchStoreRangeTopK times the RANGE TOPK 64 read over 15 stored
+// slots shaped like the history workload's: each summarizes 64k
+// consecutive pairs of a packet trace at budget 4096, and all sit in
+// one 1 h partition, so the read decodes and folds every block on the
+// calling goroutine.
+func benchStoreRangeTopK(b *testing.B) {
+	const slots, k, perSlot = 15, 4096, 1 << 16
+	dir, err := os.MkdirTemp("", "benchfreq-store")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	st, err := store.Open[int64](dir, store.WithPartitionDuration(time.Hour))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	trace, err := streamgen.PacketTrace(streamgen.TraceConfig{Packets: slots * perSlot, DistinctSources: 1 << 20, Alpha: 1.1, Seed: 19})
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := make([]int64, len(trace))
+	weights := make([]int64, len(trace))
+	for i, u := range trace {
+		items[i], weights[i] = u.Item, u.Weight
+	}
+	base := time.Unix(1_700_006_400, 0) // an hour boundary
+	for s := range slots {
+		sk, serr := freq.New[int64](k)
+		if serr != nil {
+			b.Fatal(serr)
+		}
+		if err := sk.UpdateWeightedBatch(items[s*perSlot:(s+1)*perSlot], weights[s*perSlot:(s+1)*perSlot]); err != nil {
+			b.Fatal(err)
+		}
+		start := base.Add(time.Duration(s) * time.Minute)
+		if err := st.AppendSlot(freq.NewView(sk), start, start.Add(time.Minute)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	from, to := base, base.Add(slots*time.Minute)
+	acc, err := st.QueryInto(nil, from, to) // warm pools and accumulator
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if acc, err = st.QueryInto(acc, from, to); err != nil {
+			b.Fatal(err)
+		}
+		if rows := freq.NewView(acc).Query().Limit(64).Collect(); len(rows) != 64 {
 			b.Fatalf("%d rows", len(rows))
 		}
 	}
@@ -734,6 +800,8 @@ func main() {
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
 		Benchtime:   benchtime.String(),
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Speedups:    map[string]float64{},

@@ -261,3 +261,79 @@ func TestUnmarshalBinaryReusesReceiver(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeBinaryMatchesUnmarshalAndMerge: folding encodings with
+// MergeBinary answers as decoding each with UnmarshalBinary and merging
+// it, on both backends, and a corrupt encoding returns ErrCorrupt and
+// leaves the receiver as it was.
+func TestMergeBinaryMatchesUnmarshalAndMerge(t *testing.T) {
+	t.Run("int64", func(t *testing.T) {
+		checkMergeBinary(t, func(i int64) int64 { return i })
+	})
+	t.Run("string", func(t *testing.T) {
+		checkMergeBinary(t, func(i int64) string { return string(rune('a'+i%26)) + string(rune('a'+i/26%26)) })
+	})
+}
+
+func checkMergeBinary[T comparable](t *testing.T, item func(int64) T) {
+	var blobs [][]byte
+	for s := int64(0); s < 4; s++ {
+		sk, err := freq.New[T](256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 3_000; i++ {
+			if err := sk.Update(item((i*7919+s*131)%1000), 1+i%7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blob, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	folded, err := freq.New[T](4 * 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := freq.New[T](4 * 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range blobs {
+		if err := folded.MergeBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		src, err := freq.New[T](1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(src)
+	}
+	if folded.MaximumError() == 0 {
+		t.Fatal("no source decremented: the offsets go untested")
+	}
+	if folded.StreamWeight() != merged.StreamWeight() || folded.MaximumError() != merged.MaximumError() || folded.NumActive() != merged.NumActive() {
+		t.Fatalf("folded N %d err %d active %d, merged N %d err %d active %d",
+			folded.StreamWeight(), folded.MaximumError(), folded.NumActive(),
+			merged.StreamWeight(), merged.MaximumError(), merged.NumActive())
+	}
+	for it, r := range merged.All() {
+		if got := (freq.Row[T]{Item: it, Estimate: folded.Estimate(it), LowerBound: folded.LowerBound(it), UpperBound: folded.UpperBound(it)}); got != r {
+			t.Fatalf("item %v: folded row %v, merged %v", it, got, r)
+		}
+	}
+	before := folded.StreamWeight()
+	bad := append([]byte(nil), blobs[0]...)
+	bad[0] ^= 0xff
+	if err := folded.MergeBinary(bad); !errors.Is(err, freq.ErrCorrupt) {
+		t.Fatalf("corrupt encoding: %v, want ErrCorrupt", err)
+	}
+	if folded.StreamWeight() != before {
+		t.Fatal("a rejected fold changed the receiver")
+	}
+}

@@ -1,11 +1,8 @@
 package freq
 
 import (
-	"errors"
 	"hash/maphash"
 	"iter"
-	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -329,94 +326,50 @@ func (c *Concurrent[T]) MaximumError() int64 {
 	return worst
 }
 
-// maxMergeWorkers bounds the fan-in parallelism of the view/snapshot
-// merge; beyond a handful of workers the serial combine step and memory
-// bandwidth dominate.
-const maxMergeWorkers = 8
-
 // mergeSketch returns an empty summary with the shards' decrement
 // policy and sample size and the given counter budget, to merge shards
 // into. Growth stays enabled: the disjoint merge pre-grows to the
 // actual counter count in one step, so a sparse sketch gets a small
 // merged table instead of one sized for the full budget. Under a pinned
-// seed its hash seed is derived per salt, so worker partials and the
-// combined output never share a hash function; unpinned sketches keep
-// the random per-sketch draw.
-func (c *Concurrent[T]) mergeSketch(budget int, salt uint64) (*Sketch[T], error) {
+// seed its hash seed derives from the pinned one, so the merged view
+// never shares a hash function with a shard; unpinned sketches keep the
+// random per-sketch draw.
+func (c *Concurrent[T]) mergeSketch(budget int) (*Sketch[T], error) {
 	cfg := c.cfg
 	cfg.k, cfg.noGrowth = budget, false
 	if cfg.seed != 0 {
-		cfg.seed = mixSeed(mixSeed(cfg.seed^0x51ed270b9f602a4d) + (salt+1)*0x9e3779b97f4a7c15)
+		cfg.seed = mixSeed(mixSeed(cfg.seed^0x51ed270b9f602a4d) + 0x9e3779b97f4a7c15)
 	}
 	return newFromConfig[T](cfg)
-}
-
-// budget returns the summed counter budgets of shards w, w+step, ...
-func (c *Concurrent[T]) budget(w, step int) int {
-	k := 0
-	for i := w; i < len(c.shards); i += step {
-		//freqvet:ignore epochlock MaxCounters is construction-time config, immutable after New
-		k += c.shards[i].s.MaxCounters()
-	}
-	return k
-}
-
-// mergeShards folds shards w, w+step, ... into dst, each under its own
-// lock. When epochs is non-nil, each shard's epoch is captured under the
-// same lock hold as its merge, so it describes exactly the state folded
-// in.
-func (c *Concurrent[T]) mergeShards(dst *Sketch[T], w, step int, epochs []uint64) {
-	for i := w; i < len(c.shards); i += step {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if epochs != nil {
-			epochs[i] = sh.epoch.Load()
-		}
-		dst.mergeDisjoint(sh.s)
-		sh.mu.Unlock()
-	}
 }
 
 // merge merges every shard into one summary — the kernel shared by
 // Snapshot and View. Items are hash-partitioned, so shard item sets are
 // disjoint, and the combined budget admits every counter, so no
-// decrement fires and the result is exact over the shards' states. With
-// more than one worker the shards are folded into per-worker partial
-// summaries concurrently (worker w takes shards w, w+workers, ...; each
-// shard is locked only while it is read) and the disjoint partials are
-// combined in worker order.
+// decrement fires and the result is exact over the shards' states. The
+// shards fold in one at a time, in shard order, each under its own
+// lock, so a pinned seed gives the same table, and the same encoding,
+// on every host. When epochs is non-nil, each shard's epoch is captured
+// under the same lock hold as its merge, so it describes exactly the
+// state folded in.
 func (c *Concurrent[T]) merge(epochs []uint64) (*Sketch[T], error) {
-	out, err := c.mergeSketch(c.budget(0, 1), 0)
+	k := 0
+	for i := range c.shards {
+		//freqvet:ignore epochlock MaxCounters is construction-time config, immutable after New
+		k += c.shards[i].s.MaxCounters()
+	}
+	out, err := c.mergeSketch(k)
 	if err != nil {
 		return nil, err
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(c.shards), maxMergeWorkers)
-	if workers <= 1 {
-		c.mergeShards(out, 0, 1, epochs)
-		return out, nil
-	}
-	partials := make([]*Sketch[T], workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p, err := c.mergeSketch(c.budget(w, workers), uint64(w)+1)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			c.mergeShards(p, w, workers, epochs)
-			partials[w] = p
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	for _, p := range partials {
-		out.mergeDisjoint(p)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		if epochs != nil {
+			epochs[i] = sh.epoch.Load()
+		}
+		out.mergeDisjoint(sh.s)
+		sh.mu.Unlock()
 	}
 	return out, nil
 }
@@ -425,10 +378,10 @@ func (c *Concurrent[T]) merge(epochs []uint64) (*Sketch[T], error) {
 // merged summary of all shards (Algorithm 5), rebuilt only when some
 // shard has been written since the last call — repeated reads with no
 // interleaved writes reuse the cache and perform zero additional shard
-// merges. A rebuild runs the parallel merge; a write landing after a
-// shard was read bumps its epoch and invalidates the cache. The view is
-// immutable, safe for any number of concurrent readers, and keeps
-// answering from its frozen state while the live sketch moves on. A
+// merges. A rebuild folds the shards in one at a time; a write landing
+// after a shard was read bumps its epoch and invalidates the cache. The
+// view is immutable, safe for any number of concurrent readers, and
+// keeps answering from its frozen state while the live sketch moves on. A
 // view taken under concurrent updates reflects each shard at a
 // (possibly different) consistent point, exactly like Snapshot. Its
 // bounds are the merged summary's single global error band (the same
@@ -492,64 +445,26 @@ func (c *Concurrent[T]) All() iter.Seq2[T, Row[T]] {
 // Query starts a composable query over the epoch-cached merged view. A
 // query for the n rows with the largest estimates (the default order, a
 // Limit, no filter) reads each shard's n+1 largest counters instead
-// when they hold the view's top n (see topRows).
+// when they hold the view's top n (see listTop).
 func (c *Concurrent[T]) Query() *Query[T] { return From[T](c) }
 
-// topRows returns rows of the merged view among which are the n that
-// sort first by descending estimate, or false when it cannot tell which
-// those are without the view. Shards hold disjoint items and the view
-// merges them without a decrement, so an item's row in the view is its
-// shard's counter c plus the summed shard offsets O, (c+O, c, c+O), and
-// the view's top n lies in the union of the shards' largest counters.
-// Each shard lists n+1 of them, under its own lock together with its
-// offset, so that what a shard leaves out is bounded by its (n+1)-th
-// counter and a single shard, or one holding most of the top n, can
-// still tell. An unlisted item holds at most cut, the largest of the
-// smallest listed counters of the shards that held more than they
-// listed, so when at least n listed counters exceed cut, every row at or
-// below it sorts after them and is dropped; when no shard was cut,
-// every row is listed. Otherwise (counters tie at a shard's cut, as on
-// flat unit-weight traffic) it reports false.
+// topRows lists each shard's largest counters, under its own lock
+// together with its offset, and certifies the view's top n from them
+// (see listTop): shards hold disjoint items and the view merges them
+// without a decrement.
 func (c *Concurrent[T]) topRows(n int) ([]Row[T], bool) {
-	m := n + min(1, math.MaxInt-n)
-	var pairs []pair[T]
-	var offset int64
-	cut := int64(-1)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		base := len(pairs)
-		pairs = sh.s.appendLargest(pairs, m)
-		offset += sh.s.MaximumError()
-		if sh.s.NumActive() > m {
-			least := int64(math.MaxInt64)
-			for _, p := range pairs[base:] {
-				least = min(least, p.weight)
-			}
-			cut = max(cut, least)
+	return listTop(n, func(list func(*Sketch[T])) {
+		for i := range c.shards {
+			sh := &c.shards[i]
+			sh.mu.Lock()
+			list(sh.s)
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
-	}
-	above := 0
-	for _, p := range pairs {
-		if p.weight > cut {
-			above++
-		}
-	}
-	if cut >= 0 && above < n {
-		return nil, false
-	}
-	rows := make([]Row[T], 0, above)
-	for _, p := range pairs {
-		if p.weight > cut {
-			rows = append(rows, Row[T]{Item: p.item, Estimate: p.weight + offset, LowerBound: p.weight, UpperBound: p.weight + offset})
-		}
-	}
-	return rows, true
+	})
 }
 
 // Snapshot merges all shards into a single fresh Sketch with the combined
-// counter budget via Algorithm 5 (the parallel merge behind View). The
+// counter budget via Algorithm 5 (the merge behind View). The
 // result is independent of the concurrent sketch and is the unit of
 // serialization and cross-process merging: snapshot, ship, Merge. Shards
 // are locked one at a time, so a snapshot taken under concurrent updates

@@ -1,11 +1,12 @@
-// Concurrent ranking tests: a limited query in the default order over a
+// Ranking tests: a limited query in the default order over a
 // Concurrent, which ranks from each shard's largest counters when they
-// hold the top rows, against the same query over the merged View it
-// would otherwise scan, on seeded sketches of every shape the two paths
-// treat differently.
+// hold the top rows, and over a single Sketch or View, which ranks from
+// its own, against a full scan of every row, on seeded sketches of every
+// shape the two paths treat differently.
 package freq
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -43,9 +44,9 @@ func listedRead[T comparable](t testing.TB, c *Concurrent[T], probe T, q func(*Q
 }
 
 // checkConcurrentRanks compares Offset(o).Limit(k) over c with the same
-// query over c.View() for k in {1, 2, 64, NumActive, NumActive+1,
-// MaxInt} and o in {0, 1, 7}, counting the listed answers and the view
-// scans in paths.
+// page of a full scan of c.View() for k in {1, 2, 64, NumActive,
+// NumActive+1, MaxInt} and o in {0, 1, 7}, counting the listed answers
+// and the view scans in paths.
 func checkConcurrentRanks[T comparable](t testing.TB, name string, c *Concurrent[T], probe T, paths *[2]int) {
 	t.Helper()
 	v, err := c.View()
@@ -66,11 +67,33 @@ func checkConcurrentRanks[T comparable](t testing.TB, name string, c *Concurrent
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := page(v.Query()).Collect(); !slices.Equal(got, want) {
+			if want := scanPage[T](v, o, k); !slices.Equal(got, want) {
 				t.Fatalf("%s: Offset(%d).Limit(%d) (listed %v):\n got %v\nwant %v", name, o, k, listed, got, want)
 			}
 		}
 	}
+}
+
+// scanPage is the reference every listed top k is checked against:
+// every row of src, sorted by descending estimate with ties by item,
+// then paged as Offset(o).Limit(k) pages. It reads src.All(), so it
+// never takes the listed path it checks.
+func scanPage[T comparable](src rowSource[T], o, k int) []Row[T] {
+	var rows []Row[T]
+	for _, r := range src.All() {
+		rows = append(rows, r)
+	}
+	slices.SortFunc(rows, func(a, b Row[T]) int {
+		if c := cmp.Compare(b.Estimate, a.Estimate); c != 0 {
+			return c
+		}
+		return itemCompare(a.Item, b.Item)
+	})
+	rows = rows[min(max(o, 0), len(rows)):]
+	if k >= 0 && k < len(rows) {
+		rows = rows[:k]
+	}
+	return rows
 }
 
 // runTopKShapes builds each shape over 1, 2 and 8 shards, with and
@@ -338,8 +361,9 @@ func FuzzConcurrentTopK(f *testing.F) {
 	})
 }
 
-// fuzzRanks compares Offset(o).Limit(k) over c with the same query over
-// c.View() for the fuzzed k and o and their residues mod 8, and k = 1.
+// fuzzRanks compares Offset(o).Limit(k) over c with the same page of a
+// full scan of c.View() for the fuzzed k and o and their residues mod
+// 8, and k = 1.
 func fuzzRanks[T comparable](t *testing.T, round int, c *Concurrent[T], probe T, k, o int) {
 	t.Helper()
 	for _, k := range []int{k, k % 8, 1} {
@@ -350,8 +374,75 @@ func fuzzRanks[T comparable](t *testing.T, round int, c *Concurrent[T], probe T,
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := page(v.Query()).Collect(); !slices.Equal(got, want) {
+			if want := scanPage[T](v, o, k); !slices.Equal(got, want) {
 				t.Fatalf("round %d: Offset(%d).Limit(%d) (listed %v):\n got %v\nwant %v", round, o, k, listed, got, want)
+			}
+		}
+	}
+}
+
+// checkSingleRanks compares Offset(o).Limit(k) over src, a Sketch or a
+// View, with the same page of a full scan for k in {1, 2, 64,
+// NumActive, NumActive+1, MaxInt} and o in {0, 1, 7}, and reports how
+// many of those queries the listing answered.
+func checkSingleRanks[T comparable](t *testing.T, name string, src interface {
+	rowSource[T]
+	topLister[T]
+	Query() *Query[T]
+}, active int) (listed int) {
+	t.Helper()
+	for _, k := range []int{1, 2, 64, active, active + 1, math.MaxInt} {
+		for _, o := range []int{0, 1, 7} {
+			if _, ok := src.topRows(o + min(k, math.MaxInt-o)); ok {
+				listed++
+			}
+			got := src.Query().Offset(o).Limit(k).Collect()
+			if want := scanPage[T](src, o, k); !slices.Equal(got, want) {
+				t.Fatalf("%s: Offset(%d).Limit(%d):\n got %v\nwant %v", name, o, k, got, want)
+			}
+		}
+	}
+	return listed
+}
+
+// TestSketchTopKMatchesScan: a limited query over a single Sketch or
+// View, int64 and string, ranks from the sketch's largest counters and
+// returns the rows a full scan does. On distinct weights the listing
+// answers every query; on unit weights the counters tie at the cut, and
+// only the 9 queries that reach past NumActive, so that nothing is cut,
+// list.
+func TestSketchTopKMatchesScan(t *testing.T) {
+	for _, unit := range []bool{false, true} {
+		ints, err := New[int64](256, WithSeed(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		strs, err := New[string](256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range int64(200) {
+			w := 1 + i
+			if unit {
+				w = 1
+			}
+			if err := ints.Update(i, w); err != nil {
+				t.Fatal(err)
+			}
+			if err := strs.Update(strconv.FormatInt(i, 10), w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		name := fmt.Sprintf("unit=%v", unit)
+		listed := []int{
+			checkSingleRanks[int64](t, name+"/int64 sketch", ints, ints.NumActive()),
+			checkSingleRanks[int64](t, name+"/int64 view", NewView(ints), ints.NumActive()),
+			checkSingleRanks[string](t, name+"/string sketch", strs, strs.NumActive()),
+			checkSingleRanks[string](t, name+"/string view", NewView(strs), strs.NumActive()),
+		}
+		for i, n := range listed {
+			if unit && n != 9 || !unit && n != 18 {
+				t.Errorf("%s, source %d: %d of 18 queries listed", name, i, n)
 			}
 		}
 	}

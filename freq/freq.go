@@ -201,10 +201,9 @@ func (s *Sketch[T]) updatePairs(pairs []pair[T]) error {
 }
 
 // mergeDisjoint folds other into s like Merge, for summaries that track
-// disjoint item sets (a Concurrent's shards, and partial merges of
-// them): the parallel-array backend skips the found check and pre-grows
-// once (core.MergeDisjoint), whose answers equal Merge's whenever s's
-// budget admits every counter.
+// disjoint item sets (a Concurrent's shards): the parallel-array
+// backend skips the found check and pre-grows once (core.MergeDisjoint),
+// whose answers equal Merge's whenever s's budget admits every counter.
 func (s *Sketch[T]) mergeDisjoint(other *Sketch[T]) {
 	if s.fast != nil {
 		s.fast.MergeDisjoint(other.fast)
@@ -299,16 +298,23 @@ func (s *Sketch[T]) UpperBound(item T) int64 {
 // largest counters (their LowerBounds) to dst as (item, counter) pairs,
 // in unspecified order; every counter left out is no larger than the
 // smallest one appended. The fast path runs the table-scan kernel; the
-// generic path selects through the query layer, whose order on a single
-// sketch is the counter order.
+// generic path selects with the query layer's one-pass scan, whose
+// order on a single sketch is the counter order (not with a limited
+// Query, which would list through appendLargest again).
 func (s *Sketch[T]) appendLargest(dst []pair[T], n int) []pair[T] {
 	if s.fast != nil {
 		return fromPairSlice[T](s.fast.AppendLargest(asPairSlice(dst), n))
 	}
-	for _, r := range s.Query().Limit(max(n, 0)).Collect() {
+	for _, r := range From[T](s).firstRows(s, max(n, 0)) {
 		dst = append(dst, pair[T]{r.Item, r.LowerBound})
 	}
 	return dst
+}
+
+// topRows certifies the sketch's top n from its n+1 largest counters
+// (see listTop).
+func (s *Sketch[T]) topRows(n int) ([]Row[T], bool) {
+	return listTop(n, func(list func(*Sketch[T])) { list(s) })
 }
 
 // MaximumError returns the additive error band of any estimate:

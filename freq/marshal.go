@@ -112,6 +112,33 @@ func (s *Sketch[T]) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// MergeBinary folds one encoding, as MarshalBinary or AppendBinary
+// produce it, into s per Algorithm 5: the summary UnmarshalBinary into a
+// scratch sketch followed by Merge gives. Input UnmarshalBinary rejects
+// returns the same error, wrapping ErrCorrupt, and leaves s untouched.
+// On the parallel-array backend the counters fold straight from the
+// bytes (core.MergeSerialized), with no scratch sketch and, in the
+// steady state, no allocation; the generic backend decodes a scratch
+// sketch and merges it.
+func (s *Sketch[T]) MergeBinary(data []byte) error {
+	if s.fast != nil {
+		if err := s.fast.MergeSerialized(data); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		return nil
+	}
+	sd, err := s.itemsSerde()
+	if err != nil {
+		return err
+	}
+	other, err := items.Deserialize(data, sd)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	s.slow.Merge(other)
+	return nil
+}
+
 // WriteTo encodes the sketch to w, implementing io.WriterTo.
 func (s *Sketch[T]) WriteTo(w io.Writer) (int64, error) {
 	if s.fast != nil {

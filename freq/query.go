@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -156,6 +157,65 @@ func fromRows[T comparable](src rowSource[T]) *Query[T] {
 	return &Query[T]{src: src, et: NoFalseNegatives, order: OrderEstimateDesc, limit: -1}
 }
 
+// topLister is a row source that can rank its first rows by descending
+// estimate from its largest counters instead of scanning every row: a
+// Sketch, a View, and a Concurrent, which lists per shard.
+type topLister[T comparable] interface {
+	// topRows returns rows among which are the n that sort first by
+	// descending estimate, or false when it cannot tell which those are
+	// without a scan.
+	topRows(n int) ([]Row[T], bool)
+}
+
+// listTop is the certificate every topLister shares. each calls list
+// on one summary, or on several that hold disjoint items and whose
+// merge decrements nothing (a Concurrent's shards), so that an item's
+// row is its summary's counter c plus the summed offsets O, (c+O, c,
+// c+O), and the top n lies in the union of the summaries' largest
+// counters. Each summary lists n+1 of them together with its offset, so
+// that what it leaves out is bounded by its (n+1)-th counter and a
+// single summary, or one holding most of the top n, can still tell. An
+// unlisted item holds at most cut, the largest of the smallest listed
+// counters of the summaries that held more than they listed, so when at
+// least n listed counters exceed cut, every row at or below it sorts
+// after them and is dropped; when no summary was cut, every row is
+// listed. Otherwise (counters tie at a cut, as on flat unit-weight
+// traffic) it reports false.
+func listTop[T comparable](n int, each func(list func(*Sketch[T]))) ([]Row[T], bool) {
+	m := n + min(1, math.MaxInt-n)
+	var pairs []pair[T]
+	var offset int64
+	cut := int64(-1)
+	each(func(s *Sketch[T]) {
+		base := len(pairs)
+		pairs = s.appendLargest(slices.Grow(pairs, min(m, s.NumActive())), m)
+		offset += s.MaximumError()
+		if s.NumActive() > m {
+			least := int64(math.MaxInt64)
+			for _, p := range pairs[base:] {
+				least = min(least, p.weight)
+			}
+			cut = max(cut, least)
+		}
+	})
+	above := 0
+	for _, p := range pairs {
+		if p.weight > cut {
+			above++
+		}
+	}
+	if cut >= 0 && above < n {
+		return nil, false
+	}
+	rows := make([]Row[T], 0, above)
+	for _, p := range pairs {
+		if p.weight > cut {
+			rows = append(rows, Row[T]{Item: p.item, Estimate: p.weight + offset, LowerBound: p.weight, UpperBound: p.weight + offset})
+		}
+	}
+	return rows, true
+}
+
 // rowList is a slice of rows served as a row source.
 type rowList[T comparable] []Row[T]
 
@@ -277,10 +337,11 @@ func (q *Query[T]) compare(a, b Row[T]) int {
 // source through the filters — no intermediate slice. An ordered query
 // with a Limit selects: one pass over the source keeps only the
 // Offset+Limit rows that sort first, and only those are sorted and
-// paged. Over a Concurrent, such a query in the default order with no
-// filter selects from each shard's largest counters instead of scanning
-// the merged view, whenever those provably hold its first rows; the
-// rows are the same. An ordered query without a Limit
+// paged. Over a Sketch, a View or a Concurrent, such a query in the
+// default order with no filter selects from the largest counters (each
+// shard's, for a Concurrent) instead of scanning every row, whenever
+// those provably hold its first rows; the rows are the same. An ordered
+// query without a Limit
 // materializes the filtered rows once and sorts them all. Evaluation
 // happens when the iterator runs, so the result reflects the source at
 // that moment.
@@ -296,9 +357,9 @@ func (q *Query[T]) All() iter.Seq2[T, Row[T]] {
 			keep = -1
 		}
 		var src rowSource[T] = q.src
-		if c, ok := src.(*Concurrent[T]); ok && keep > 0 && q.order == OrderEstimateDesc &&
+		if l, ok := src.(topLister[T]); ok && keep > 0 && q.order == OrderEstimateDesc &&
 			q.cmpFn == nil && !q.hasThreshold && len(q.preds) == 0 {
-			if rows, ok := c.topRows(keep); ok {
+			if rows, ok := l.topRows(keep); ok {
 				src = rowList[T](rows)
 			}
 		}

@@ -75,7 +75,9 @@ const lzTableBits = 14
 // its table on first use), so steady-state appends allocate nothing;
 // concurrent Encode calls take turns on it. Decode is stateless and
 // strict: any out-of-range offset or truncated token is an error, never
-// a panic.
+// a panic. It copies short literal runs and matches reaching back a word
+// or more a machine word at a time, which is most of a sketch payload's
+// tokens (matches average about 6 bytes).
 type LZ struct {
 	mu    sync.Mutex
 	table *[1 << lzTableBits]int32
@@ -140,8 +142,24 @@ func (c *LZ) Encode(dst, src []byte) []byte {
 	return dst
 }
 
+// lzWord is the width of the decoder's word copies.
+const lzWord = 8
+
+// lzMaxDecodedLen bounds what an LZ token stream of n bytes decodes to:
+// at most lzMaxMatch bytes per 3-byte match token.
+func lzMaxDecodedLen(n int) int { return n/3*lzMaxMatch + lzMaxMatch }
+
 // Decode appends the decoded form of src to dst, validating every token
-// against the bytes produced so far.
+// against the bytes produced so far. Literal runs of up to 2 words, and
+// matches reaching back at least a word (so that no word read overlaps
+// the bytes it writes), copy a machine word at a time wherever dst has
+// the spare capacity for the last word's overshoot and a literal's
+// words lie within src. The overshoot lands in dst's spare capacity,
+// beyond the returned length: the next token overwrites it, and after
+// the last token up to 15 bytes there hold garbage. Shorter offsets,
+// the run-length case, copy byte by byte. A caller that knows the
+// decoded length should give dst that much capacity, so that only the
+// last few tokens copy bytes.
 func (*LZ) Decode(dst, src []byte) ([]byte, error) {
 	base := len(dst)
 	i := 0
@@ -153,7 +171,14 @@ func (*LZ) Decode(dst, src []byte) ([]byte, error) {
 			if i+run > len(src) {
 				return dst, fmt.Errorf("store: lz literal run of %d overruns input", run)
 			}
-			dst = append(dst, src[i:i+run]...)
+			if d := len(dst); run <= 2*lzWord && i+2*lzWord <= len(src) && d+2*lzWord <= cap(dst) {
+				out := dst[d : d+2*lzWord]
+				binary.LittleEndian.PutUint64(out, binary.LittleEndian.Uint64(src[i:]))
+				binary.LittleEndian.PutUint64(out[lzWord:], binary.LittleEndian.Uint64(src[i+lzWord:]))
+				dst = dst[:d+run]
+			} else {
+				dst = append(dst, src[i:i+run]...)
+			}
 			i += run
 			continue
 		}
@@ -166,9 +191,18 @@ func (*LZ) Decode(dst, src []byte) ([]byte, error) {
 		if off == 0 || off > len(dst)-base {
 			return dst, fmt.Errorf("store: lz match offset %d outside %d decoded bytes", off, len(dst)-base)
 		}
+		d := len(dst)
+		pos := d - off
+		if off >= lzWord && d+length+lzWord <= cap(dst) {
+			out := dst[:d+length+lzWord]
+			for j := 0; j < length; j += lzWord {
+				binary.LittleEndian.PutUint64(out[d+j:], binary.LittleEndian.Uint64(out[pos+j:]))
+			}
+			dst = dst[:d+length]
+			continue
+		}
 		// Byte-at-a-time copy: matches may overlap their own output
 		// (off < length is the run-length case and is legal).
-		pos := len(dst) - off
 		for j := 0; j < length; j++ {
 			dst = append(dst, dst[pos+j])
 		}

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/freq"
 )
 
 // lzRoundTrip encodes src with a fresh LZ codec and decodes it back.
@@ -155,5 +158,155 @@ func TestCodecByName(t *testing.T) {
 	}
 	if _, err := CodecByName("zstd"); err == nil {
 		t.Fatal("unknown codec name accepted")
+	}
+}
+
+// lzDecodeBytes is the byte-at-a-time decoder that LZ.Decode's word
+// copies replaced, kept as the reference they are checked against.
+func lzDecodeBytes(dst, src []byte) ([]byte, error) {
+	base := len(dst)
+	i := 0
+	for i < len(src) {
+		c := src[i]
+		i++
+		if c < 0x80 {
+			run := int(c) + 1
+			if i+run > len(src) {
+				return dst, fmt.Errorf("store: lz literal run of %d overruns input", run)
+			}
+			dst = append(dst, src[i:i+run]...)
+			i += run
+			continue
+		}
+		if i+2 > len(src) {
+			return dst, fmt.Errorf("store: lz match token truncated")
+		}
+		length := int(c-0x80) + lzMinMatch
+		off := int(src[i]) | int(src[i+1])<<8
+		i += 2
+		if off == 0 || off > len(dst)-base {
+			return dst, fmt.Errorf("store: lz match offset %d outside %d decoded bytes", off, len(dst)-base)
+		}
+		pos := len(dst) - off
+		for j := 0; j < length; j++ {
+			dst = append(dst, dst[pos+j])
+		}
+	}
+	return dst, nil
+}
+
+// randomTokens returns a token stream of n tokens: literal runs, mostly
+// short, and matches, a third of them overlapping (offsets 1-7), the
+// rest reaching back up to 300 bytes. With bad set, an offset may point
+// before the stream's start and the stream may end mid-token.
+func randomTokens(rng *rand.Rand, n int, bad bool) []byte {
+	var src []byte
+	produced := 0
+	for t := 0; t < n; t++ {
+		if produced == 0 || rng.Intn(2) == 0 {
+			run := 1 + rng.Intn(20)
+			if rng.Intn(8) == 0 {
+				run = 1 + rng.Intn(128)
+			}
+			src = append(src, byte(run-1))
+			for range run {
+				src = append(src, byte(rng.Intn(256)))
+			}
+			produced += run
+			continue
+		}
+		length := lzMinMatch + rng.Intn(lzMaxMatch-lzMinMatch+1)
+		off := 1 + rng.Intn(min(produced, 7))
+		if rng.Intn(3) != 0 {
+			off = 1 + rng.Intn(min(produced, 300))
+		}
+		if bad && rng.Intn(10) == 0 {
+			off = produced + 1 + rng.Intn(4)
+		}
+		src = append(src, byte(0x80+length-lzMinMatch), byte(off), byte(off>>8))
+		produced += length
+	}
+	if bad && len(src) > 0 && rng.Intn(2) == 0 {
+		src = src[:len(src)-1-rng.Intn(min(len(src), 3))]
+	}
+	return src
+}
+
+// sketchPayloads returns the encodings of full k = 4096 sketches over
+// Zipf streams, the blocks a store decodes.
+func sketchPayloads(t *testing.T) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for seed := uint64(1); seed <= 3; seed++ {
+		sk, err := freq.New[int64](4096, freq.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := rand.NewZipf(rand.New(rand.NewSource(int64(seed))), 1.1, 1, 1<<20)
+		for range 1 << 16 {
+			if err := sk.Update(int64(z.Uint64()), 1+int64(z.Uint64()%100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blob, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, blob)
+	}
+	return out
+}
+
+// TestLZDecodeMatchesByteReference: the word-copy decoder returns what
+// the byte-at-a-time reference does, output and error alike, on random
+// and corrupt token streams, on real sketch payloads, on literal runs
+// ending within a word of the end of src, and into a dst holding a
+// prefix, with no spare capacity, exactly the decoded length, or more.
+func TestLZDecodeMatchesByteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var streams [][]byte
+	for trial := 0; trial < 300; trial++ {
+		streams = append(streams, randomTokens(rng, 1+rng.Intn(60), trial%3 == 0))
+	}
+	for trial := 0; trial < 100; trial++ {
+		noise := make([]byte, rng.Intn(200))
+		rng.Read(noise)
+		streams = append(streams, noise)
+	}
+	for _, blob := range sketchPayloads(t) {
+		streams = append(streams, NewLZ().Encode(nil, blob))
+	}
+	// A match, then a final literal run of every length up to 2 words
+	// and a little more, so that the run ends 0-20 bytes short of where
+	// the word copy would read to.
+	for run := 1; run <= 20; run++ {
+		s := []byte{0x07, 1, 2, 3, 4, 5, 6, 7, 8, 0x80 + 6, 8, 0, byte(run - 1)}
+		for j := range run {
+			s = append(s, byte(j))
+		}
+		streams = append(streams, s)
+	}
+	var lz LZ
+	for i, src := range streams {
+		want, wantErr := lzDecodeBytes(nil, src)
+		for _, prefix := range []int{0, 1, 7, 8, 13} {
+			for _, spare := range []int{0, len(want), len(want) + 3*lzWord, 4096} {
+				dst := make([]byte, prefix, prefix+spare)
+				for j := range dst {
+					dst[j] = byte(0xa0 + j)
+				}
+				ref, refErr := lzDecodeBytes(append([]byte(nil), dst...), src)
+				got, err := lz.Decode(dst, src)
+				if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+					t.Fatalf("stream %d, prefix %d, spare %d: error %v, reference %v", i, prefix, spare, err, refErr)
+				}
+				if !bytes.Equal(got, ref) {
+					t.Fatalf("stream %d, prefix %d, spare %d: %d bytes differ from the reference's %d", i, prefix, spare, len(got), len(ref))
+				}
+				if (refErr == nil) != (wantErr == nil) {
+					t.Fatalf("stream %d: a prefix changed the reference's verdict", i)
+				}
+			}
+		}
 	}
 }

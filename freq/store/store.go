@@ -145,7 +145,7 @@ type Store[T comparable] struct {
 	jobs        chan job[T]
 	workerWG    sync.WaitGroup
 	qPool       sync.Pool // *rangeQuery[T]
-	scratchPool sync.Pool // *scratch[T]
+	scratchPool sync.Pool // *scratch
 
 	// tmu guards the tenant histories, keyed by their escaped directory
 	// names: each is a Store of its own, opened on first use and closed
@@ -193,11 +193,9 @@ func (q *rangeQuery[T]) failed() bool {
 	return q.err != nil
 }
 
-// scratch is one decoder's reusable state: a sketch whose table is
-// recycled across block decodes (DeserializeInto) plus the read and
-// decompression buffers.
-type scratch[T comparable] struct {
-	sk  *freq.Sketch[T]
+// scratch is one decoder's reusable state: the read and decompression
+// buffers.
+type scratch struct {
 	enc []byte
 	raw []byte
 }
@@ -449,12 +447,13 @@ func (st *Store[T]) rollLocked(bucket int64) error {
 // [from, to) into one summary and returns it as a read view — the
 // historical generalization of Windowed.Last, serving the same
 // freq.Queryable surface (the Query builder, AppendBinary). Partitions
-// decode in parallel on the store's worker pool; each block loads
-// through DeserializeInto into pooled tables and folds in through the
-// bulk merge kernels. The view's error band is the
-// sum of the covered slots' bands (Theorem 5): zero while every slot
-// stayed within its per-interval budget and the merged budget admits
-// every counter.
+// decode in parallel on the store's worker pool; each block folds into
+// the accumulator straight from its decoded bytes (Sketch.MergeBinary),
+// validated as UnmarshalBinary would validate it but with no scratch
+// sketch. A corrupt block fails the query with an error wrapping
+// freq.ErrCorrupt. The view's error band is the sum of the covered
+// slots' bands (Theorem 5): zero while every slot stayed within its
+// per-interval budget and the merged budget admits every counter.
 func (st *Store[T]) Query(from, to time.Time) (*freq.View[T], error) {
 	sk, err := st.QueryInto(nil, from, to)
 	if err != nil {
@@ -523,7 +522,7 @@ func (st *Store[T]) QueryInto(dst *freq.Sketch[T], from, to time.Time) (*freq.Sk
 // tenant histories', for the life of the store.
 func (st *Store[T]) worker() {
 	defer st.workerWG.Done()
-	sc := &scratch[T]{}
+	sc := &scratch{}
 	for j := range st.jobs {
 		j.st.processPartition(j.q, j.p, sc)
 		j.q.wg.Done()
@@ -547,17 +546,18 @@ func (st *Store[T]) accumulator(dst *freq.Sketch[T], need int) (*freq.Sketch[T],
 	return sk, nil
 }
 
-func (st *Store[T]) getScratch() *scratch[T] {
-	if sc, _ := st.scratchPool.Get().(*scratch[T]); sc != nil {
+func (st *Store[T]) getScratch() *scratch {
+	if sc, _ := st.scratchPool.Get().(*scratch); sc != nil {
 		return sc
 	}
-	return &scratch[T]{}
+	return &scratch{}
 }
 
 // processPartition decodes every block of p overlapping q's range and
-// merges it into the accumulator. The first error poisons the query;
-// later blocks are skipped.
-func (st *Store[T]) processPartition(q *rangeQuery[T], p *partition, sc *scratch[T]) {
+// folds it into the accumulator straight from its bytes (MergeBinary),
+// under q.mu; reading and decompressing stay outside it. The first
+// error poisons the query; later blocks are skipped.
+func (st *Store[T]) processPartition(q *rangeQuery[T], p *partition, sc *scratch) {
 	for _, b := range p.blocks {
 		if !(b.from < q.to && b.to > q.from) {
 			continue
@@ -578,7 +578,12 @@ func (st *Store[T]) processPartition(q *rangeQuery[T], p *partition, sc *scratch
 				q.fail(fmt.Errorf("store: %s: block encoded with unknown codec %d", p.name, b.codec))
 				return
 			}
-			sc.raw, err = dec.Decode(sc.raw[:0], sc.enc)
+			// Room for the whole block, so that the decoder copies words
+			// up to its last few tokens, but no more than an LZ payload of
+			// this size can decode to, so that a corrupt header cannot
+			// force a large allocation.
+			sc.raw = slices.Grow(sc.raw[:0], min(int(b.rawLen), lzMaxDecodedLen(len(sc.enc))))
+			sc.raw, err = dec.Decode(sc.raw, sc.enc)
 			if err != nil {
 				q.fail(fmt.Errorf("store: %s: %w", p.name, err))
 				return
@@ -589,19 +594,13 @@ func (st *Store[T]) processPartition(q *rangeQuery[T], p *partition, sc *scratch
 			q.fail(fmt.Errorf("store: %s: block decodes to %d bytes, header says %d", p.name, len(raw), b.rawLen))
 			return
 		}
-		if sc.sk == nil {
-			if sc.sk, err = st.accumulator(nil, 1); err != nil {
-				q.fail(err)
-				return
-			}
-		}
-		if err := sc.sk.UnmarshalBinary(raw); err != nil {
+		q.mu.Lock()
+		err = q.dst.MergeBinary(raw)
+		q.mu.Unlock()
+		if err != nil {
 			q.fail(fmt.Errorf("store: %s: %w", p.name, err))
 			return
 		}
-		q.mu.Lock()
-		q.dst.Merge(sc.sk)
-		q.mu.Unlock()
 	}
 }
 

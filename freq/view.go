@@ -74,6 +74,9 @@ func (v *View[T]) All() iter.Seq2[T, Row[T]] { return v.sk.All() }
 // Query starts a composable query over the view.
 func (v *View[T]) Query() *Query[T] { return From[T](v) }
 
+// topRows certifies the view's top n from its n+1 largest counters.
+func (v *View[T]) topRows(n int) ([]Row[T], bool) { return v.sk.topRows(n) }
+
 // Materialize returns an independent mutable copy of the view, for
 // callers that want to merge it onward or serialize it without holding
 // the shared cache entry.

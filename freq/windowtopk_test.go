@@ -95,10 +95,10 @@ func certified[T comparable](cw *ConcurrentWindowed[T], w, k int) ([]Row[T], boo
 	return rows, cw.wd.viewMerges == before
 }
 
-// checkWindowRanks compares TopKLast and EstimateLast with the merged
-// view Last(w) at every width 1..N+1 and k in {0, 1, 2, 64, more than
-// the distinct items, MaxInt}, counting the certified answers and the
-// merges in paths.
+// checkWindowRanks compares TopKLast with a full scan of the merged
+// view Last(w), and EstimateLast with its lookups, at every width
+// 1..N+1 and k in {0, 1, 2, 64, more than the distinct items, MaxInt},
+// counting the certified answers and the merges in paths.
 func checkWindowRanks[T comparable](t testing.TB, name string, cw *ConcurrentWindowed[T], probes []T, paths *[2]int) {
 	n := cw.Intervals()
 	distinct := cw.wd.merged(n).NumActive()
@@ -110,7 +110,7 @@ func checkWindowRanks[T comparable](t testing.TB, name string, cw *ConcurrentWin
 			} else {
 				paths[1]++
 			}
-			want := cw.wd.Last(w).Query().Limit(k).Collect()
+			want := scanPage[T](cw.wd.Last(w), 0, k)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: TopKLast(%d, %d) (certified %v):\n got %v\nwant %v", name, w, k, ok, got, want)
 			}
@@ -244,7 +244,7 @@ func TestWindowTopKPartlyListedItem(t *testing.T) {
 		}
 	}
 	got, ok := certified(cw, 3, 1)
-	if want := cw.wd.Last(3).Query().Limit(1).Collect(); !ok || !slices.Equal(got, want) || got[0].Item != y {
+	if want := scanPage[int64](cw.wd.Last(3), 0, 1); !ok || !slices.Equal(got, want) || got[0].Item != y {
 		t.Fatalf("TopKLast(3, 1) = %v (certified %v), merged view %v, want item %d first", got, ok, want, y)
 	}
 }
@@ -275,7 +275,7 @@ func TestWindowTopKFollowsTheRing(t *testing.T) {
 	check := func(step string, want ...int64) {
 		t.Helper()
 		got, ok := certified(cw, 3, 2)
-		merged := cw.wd.Last(3).Query().Limit(2).Collect()
+		merged := scanPage[int64](cw.wd.Last(3), 0, 2)
 		if !ok || !slices.Equal(got, merged) || got[0].Item != want[0] || got[1].Item != want[1] {
 			t.Fatalf("%s: TopKLast(3, 2) = %v (certified %v), merged view %v, want items %v", step, got, ok, merged, want)
 		}
@@ -334,7 +334,7 @@ func FuzzWindowTopK(f *testing.F) {
 		for round := range 2 {
 			for _, k := range []int{k, k % 8, 1} {
 				got := cw.TopKLast(w, k)
-				if want := cw.wd.Last(w).Query().Limit(k).Collect(); !slices.Equal(got, want) {
+				if want := scanPage[int64](cw.wd.Last(w), 0, k); !slices.Equal(got, want) {
 					t.Fatalf("round %d: TopKLast(%d, %d):\n got %v\nwant %v", round, w, k, got, want)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/hashmap"
 	"repro/internal/xrand"
@@ -170,42 +171,68 @@ func Deserialize(data []byte) (*Sketch, error) {
 // the replaced table is retained as the next decode's standby, so a
 // receiver holds up to two tables).
 func DeserializeInto(dst *Sketch, data []byte) error {
-	if len(data) < headerBytes {
-		return ErrCorrupt
-	}
-	h, err := parseHeader(data)
+	h, err := parseSerialized(data)
 	if err != nil {
 		return err
 	}
-	if len(data) != headerBytes+16*h.numActive {
-		return fmt.Errorf("%w: length %d, want %d", ErrCorrupt, len(data), headerBytes+16*h.numActive)
-	}
 	return loadBody(dst, h, data[headerBytes:])
+}
+
+// parseSerialized decodes and validates the header of a whole encoding
+// and checks that data holds exactly its counters.
+func parseSerialized(data []byte) (serialHeader, error) {
+	if len(data) < headerBytes {
+		return serialHeader{}, ErrCorrupt
+	}
+	h, err := parseHeader(data)
+	if err != nil {
+		return h, err
+	}
+	if len(data) != headerBytes+16*h.numActive {
+		return h, fmt.Errorf("%w: length %d, want %d", ErrCorrupt, len(data), headerBytes+16*h.numActive)
+	}
+	return h, nil
+}
+
+// gatherBody decodes the (item, counter) payload into a pooled buffer,
+// rejecting the first non-positive counter. body must be exactly
+// 16*h.numActive bytes.
+func gatherBody(h serialHeader, body []byte) (*[]hashmap.Pair, error) {
+	pp := getPairs(h.numActive)
+	pairs := *pp
+	for i := range pairs {
+		key := int64(binary.LittleEndian.Uint64(body[16*i:]))
+		value := int64(binary.LittleEndian.Uint64(body[16*i+8:]))
+		if value <= 0 {
+			putPairs(pp)
+			return nil, fmt.Errorf("%w: non-positive counter %d for item %d", ErrCorrupt, value, key)
+		}
+		pairs[i] = hashmap.Pair{Key: key, Value: value}
+	}
+	return pp, nil
+}
+
+// bodyLgLength sizes the table a decoded payload loads into exactly as
+// the growth path would have: the smallest power of two whose
+// load-factor capacity holds the counters, capped at the configured
+// maximum (these are summary counters, not stream updates — no
+// decrement may fire while loading state).
+func bodyLgLength(h serialHeader) int {
+	return min(max(lgLengthFor(h.numActive), hashmap.MinLgLength), h.lgMax)
 }
 
 // loadBody decodes the (item, counter) payload and installs header and
 // counters into dst. body must be exactly 16*h.numActive bytes.
 func loadBody(dst *Sketch, h serialHeader, body []byte) error {
-	n := h.numActive
-	pp := getPairs(n)
-	pairs := *pp
-	for i := 0; i < n; i++ {
-		key := int64(binary.LittleEndian.Uint64(body[16*i:]))
-		value := int64(binary.LittleEndian.Uint64(body[16*i+8:]))
-		if value <= 0 {
-			putPairs(pp)
-			return fmt.Errorf("%w: non-positive counter %d for item %d", ErrCorrupt, value, key)
-		}
-		pairs[i] = hashmap.Pair{Key: key, Value: value}
+	pp, err := gatherBody(h, body)
+	if err != nil {
+		return err
 	}
+	pairs := *pp
 
-	// Size the table exactly as the growth path would have: the smallest
-	// power of two whose load-factor capacity holds the counters, capped
-	// at the configured maximum (these are summary counters, not stream
-	// updates — no decrement may fire while loading state). The load goes
-	// into the spare (standby) table, never the live one, so a payload
-	// rejected mid-load leaves dst exactly as it was.
-	lg := min(max(lgLengthFor(n), hashmap.MinLgLength), h.lgMax)
+	// The load goes into the spare (standby) table, never the live one,
+	// so a payload rejected mid-load leaves dst exactly as it was.
+	lg := bodyLgLength(h)
 	seed := nextGlobalSeed()
 	hm := dst.spare
 	if hm != nil && hm.LgLength() == lg {
@@ -246,21 +273,81 @@ func loadBody(dst *Sketch, h serialHeader, body []byte) error {
 	return nil
 }
 
+// MergeSerialized folds one encoding, as Serialize produces it, into s:
+// the state DeserializeInto into a scratch sketch followed by Merge
+// gives, up to the order the counters enter s's table, which changes no
+// answer while s's budget admits every counter. It validates data
+// exactly as DeserializeInto does — header, length, positive counters,
+// no duplicate item — and returns the same errors, leaving s untouched.
+// Then the parsed counters go through Merge's chunked absorb, and the
+// encoding's offset and stream weight add to s's. No scratch sketch is
+// built and its table is not gathered again: the duplicate check loads
+// the keys into a pooled table, and the steady state allocates nothing.
+//
+// The counters enter in the encoder's table order. That order follows
+// the encoder's hash seed, which the encoding does not record, so s
+// should not share it: a range accumulator draws a random seed, as
+// every sketch does unless a caller pins one.
+func (s *Sketch) MergeSerialized(data []byte) error {
+	h, err := parseSerialized(data)
+	if err != nil {
+		return err
+	}
+	pp, err := gatherBody(h, data[headerBytes:])
+	if err != nil {
+		return err
+	}
+	pairs := *pp
+	if key, ok := distinctKeys(h, pairs); !ok {
+		putPairs(pp)
+		return fmt.Errorf("%w: duplicate item %d", ErrCorrupt, key)
+	}
+	s.absorbCounters(pairs)
+	putPairs(pp)
+	s.offset += h.offset
+	s.streamN += h.streamN
+	return nil
+}
+
+// keyTables pools the duplicate-check tables of MergeSerialized, one
+// pool per table size.
+var keyTables [hashmap.MaxLgLength + 1]sync.Pool
+
+// distinctKeys reports whether pairs hold distinct keys, and if not the
+// first repeated one, by loading them into a pooled table of the size
+// DeserializeInto would load them into, under a fresh seed.
+func distinctKeys(h serialHeader, pairs []hashmap.Pair) (int64, bool) {
+	if len(pairs) < 2 {
+		return 0, true
+	}
+	lg := bodyLgLength(h)
+	pool := &keyTables[lg]
+	hm, _ := pool.Get().(*hashmap.Map)
+	if hm == nil {
+		var err error
+		if hm, err = hashmap.New(lg, nextGlobalSeed()); err != nil {
+			// Unreachable: lg was validated against the hashmap limits.
+			panic(err)
+		}
+	} else {
+		hm.Reset(nextGlobalSeed())
+	}
+	key, ok := hm.InsertUniqueChecked(pairs)
+	if hm.Length()*18 <= maxPooledBytes {
+		pool.Put(hm)
+	}
+	return key, ok
+}
+
 // DeserializeReplay is the pre-bulk-engine decoder, kept as the baseline
 // the bulk path is benchmarked and property-tested against: it re-probes
 // the table once per pair through Adjust. Deserialize loads the same
 // bytes into a byte-identical table (same size, same insertion order,
 // hence same placement) through one pipelined InsertUnique.
 func DeserializeReplay(data []byte) (*Sketch, error) {
-	if len(data) < headerBytes {
-		return nil, ErrCorrupt
-	}
-	h, err := parseHeader(data)
+	h, err := parseSerialized(data)
 	if err != nil {
 		return nil, err
-	}
-	if len(data) != headerBytes+16*h.numActive {
-		return nil, fmt.Errorf("%w: length %d, want %d", ErrCorrupt, len(data), headerBytes+16*h.numActive)
 	}
 	q := h.quantile
 	if q == 0 {

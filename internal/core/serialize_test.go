@@ -152,19 +152,21 @@ func TestWriteToReadFrom(t *testing.T) {
 	}
 }
 
-func TestDeserializeCorrupt(t *testing.T) {
+// corruptEncodings returns a valid encoding and, by name, encodings
+// every decoder must reject.
+func corruptEncodings(t *testing.T) (good []byte, cases map[string][]byte) {
 	s := mustNew(t, Options{MaxCounters: 64, Seed: 6})
 	for i := int64(0); i < 100; i++ {
 		_ = s.Update(i, i+1)
 	}
-	good := s.Serialize()
+	good = s.Serialize()
 
 	mutate := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
 		return b
 	}
-	cases := map[string][]byte{
+	return good, map[string][]byte{
 		"empty":       {},
 		"short":       good[:10],
 		"bad magic":   mutate(func(b []byte) { b[0] ^= 0xFF }),
@@ -201,6 +203,15 @@ func TestDeserializeCorrupt(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[28:], 3)
 			return b
 		}(),
+	}
+}
+
+func TestDeserializeCorrupt(t *testing.T) {
+	good, cases := corruptEncodings(t)
+	mutate := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
 	}
 	for name, data := range cases {
 		if _, err := Deserialize(data); err == nil {
