@@ -249,7 +249,7 @@ func kernels() []kernel {
 			// Steady-state rotation of a warm 60-interval ring: the
 			// retired slot's table is recycled in place, so an op is one
 			// O(table) state clear and zero allocations.
-			wd, err := freq.NewWindowed[int64](updateK, 60, freq.WithSeed(11))
+			cw, err := freq.NewConcurrentWindowed[int64](updateK, 60, freq.WithSeed(11))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -258,38 +258,38 @@ func kernels() []kernel {
 				items[i] = synthItem(int64(i), 1<<12)
 			}
 			for r := 0; r < 61; r++ { // wrap the ring so every slot is warm
-				wd.UpdateBatch(items)
-				wd.Rotate()
+				cw.UpdateBatch(items)
+				cw.Rotate()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				wd.Rotate()
+				cw.Rotate()
 			}
 		}},
 		{"WindowedTopK", func(b *testing.B) {
-			// Worst-case windowed read: every op invalidates the epoch
+			// Worst-case windowed read: every op invalidates the merged-view
 			// cache, so it pays the full 60-way bulk re-merge plus the
 			// top-k extraction (cached reads are ~QueryTopK).
-			wd, err := freq.NewWindowed[int64](updateK, 60, freq.WithSeed(12))
+			cw, err := freq.NewConcurrentWindowed[int64](updateK, 60, freq.WithSeed(12))
 			if err != nil {
 				b.Fatal(err)
 			}
 			for r := 0; r < 60; r++ {
 				for j := 0; j < 2048; j++ {
-					if err := wd.Update(synthItem(int64(r*2048+j), 1<<14), int64(j%100+1)); err != nil {
+					if err := cw.Update(synthItem(int64(r*2048+j), 1<<14), int64(j%100+1)); err != nil {
 						b.Fatal(err)
 					}
 				}
 				if r < 59 {
-					wd.Rotate()
+					cw.Rotate()
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				wd.UpdateOne(synthItem(int64(i), 1<<14))
+				cw.UpdateOne(synthItem(int64(i), 1<<14))
 				b.StartTimer()
-				if rows := wd.Query().Limit(64).Collect(); len(rows) == 0 {
+				if rows := cw.Query().Limit(64).Collect(); len(rows) == 0 {
 					b.Fatal("no rows")
 				}
 			}

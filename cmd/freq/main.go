@@ -200,7 +200,7 @@ func ingestWindowed(k int, algo string, window, rotEvery, rolling, win int, dump
 	if err != nil {
 		fatal(err)
 	}
-	wd, err := freq.NewWindowed[int64](k, window, opts...)
+	cw, err := freq.NewConcurrentWindowed[int64](k, window, opts...)
 	if err != nil {
 		fatal(err)
 	}
@@ -212,30 +212,30 @@ func ingestWindowed(k int, algo string, window, rotEvery, rolling, win int, dump
 	interval := 0
 	for lo := 0; lo < len(items); lo += rotEvery {
 		hi := min(lo+rotEvery, len(items))
-		if err := wd.UpdateWeightedBatch(items[lo:hi], weights[lo:hi]); err != nil {
+		if err := cw.UpdateWeightedBatch(items[lo:hi], weights[lo:hi]); err != nil {
 			fatal(fmt.Errorf("ingest records %d..%d: %w", lo, hi, err))
 		}
 		interval++
 		if rolling > 0 {
 			fmt.Printf("interval %d (records %d..%d), rolling top %d:\n", interval, lo, hi, rolling)
-			for i, r := range wd.Query().Limit(rolling).Collect() {
+			for i, r := range cw.Query().Limit(rolling).Collect() {
 				fmt.Printf("  %2d. item=%-12d est=%d\n", i+1, r.Item, r.Estimate)
 			}
 		}
 		if hi < len(items) {
-			wd.Rotate()
+			cw.Rotate()
 		}
 	}
-	fmt.Println(wd)
+	fmt.Println(cw)
 	if dumpFile != "" {
 		// The whole ring ships, intervals intact; decode with
-		// freq.Windowed.UnmarshalBinary.
-		defer dump(wd, dumpFile)
+		// freq.ConcurrentWindowed.UnmarshalBinary.
+		defer dump(cw, dumpFile)
 	}
 	if win > 0 {
-		return wd.Last(win)
+		return cw.Last(win)
 	}
-	return wd
+	return cw
 }
 
 // dump serializes a summary (single sketch or whole windowed ring) to
@@ -276,7 +276,9 @@ func readStream(path string) ([]stream.Update, error) {
 	return stream.ReadText(f)
 }
 
+// fatal prints err under the command's prefix, once: the freq package's
+// errors already carry it.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "freq:", err)
+	fmt.Fprintln(os.Stderr, "freq:", strings.TrimPrefix(err.Error(), "freq: "))
 	os.Exit(1)
 }

@@ -1,10 +1,10 @@
 // Rolling top-k: a sliding window of per-interval sketches answering
-// "who are the top talkers over the last N seconds?" — the freq.Windowed
-// workload. The demo simulates a traffic monitor where the hot flow
-// changes every few "seconds": each simulated second ingests an
-// interval's worth of flows and rotates the ring, and the rolling top-3
-// shows old hot flows aging out of the window while an all-time sketch
-// would remember them forever.
+// "who are the top talkers over the last N seconds?" — the
+// freq.ConcurrentWindowed workload. The demo simulates a traffic monitor
+// where the hot flow changes every few "seconds": each simulated second
+// ingests an interval's worth of flows and rotates the ring, and the
+// rolling top-3 shows old hot flows aging out of the window while an
+// all-time sketch would remember them forever.
 //
 // Rotation here is manual (deterministic output); a live collector
 // attaches a wall-clock driver instead:
@@ -26,7 +26,7 @@ func main() {
 		k         = 256 // counters per interval
 		intervals = 4   // the window covers the last 4 seconds
 	)
-	wd, err := freq.NewWindowed[uint64](k, intervals)
+	cw, err := freq.NewConcurrentWindowed[uint64](k, intervals)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 		if sec > 0 {
 			// A new second begins: the oldest interval's sketch is
 			// recycled in place as the new head — no allocation.
-			wd.Rotate()
+			cw.Rotate()
 		}
 		// The hot flow, plus background flows 1..50 at 100 bytes each,
 		// ingested through the batched hot path.
@@ -57,13 +57,13 @@ func main() {
 			items = append(items, f)
 			weights = append(weights, 100)
 		}
-		if err := wd.UpdateWeightedBatch(items, weights); err != nil {
+		if err := cw.UpdateWeightedBatch(items, weights); err != nil {
 			log.Fatal(err)
 		}
 
 		fmt.Printf("second %d (window = last %d intervals, N=%d):\n",
-			sec+1, wd.Intervals(), wd.StreamWeight())
-		for i, r := range wd.Query().Limit(3).Collect() {
+			sec+1, cw.Intervals(), cw.StreamWeight())
+		for i, r := range cw.Query().Limit(3).Collect() {
 			fmt.Printf("  %d. flow %-6d ~%d bytes\n", i+1, r.Item, r.Estimate)
 		}
 	}
@@ -71,10 +71,10 @@ func main() {
 	// Window-scoped queries: the same Query/TopK surface over any suffix
 	// of the window. The last 2 intervals no longer contain flow 2002.
 	fmt.Printf("\nlast 2 intervals only: ")
-	for _, r := range wd.Last(2).Query().Limit(2).Collect() {
+	for _, r := range cw.Last(2).Query().Limit(2).Collect() {
 		fmt.Printf("flow %d (~%d) ", r.Item, r.Estimate)
 	}
 	fmt.Println()
-	fmt.Printf("flow 1001 estimate, full window:  %d\n", wd.Estimate(1001))
-	fmt.Printf("flow 3003 estimate, full window:  %d\n", wd.Estimate(3003))
+	fmt.Printf("flow 1001 estimate, full window:  %d\n", cw.Estimate(1001))
+	fmt.Printf("flow 3003 estimate, full window:  %d\n", cw.Estimate(3003))
 }

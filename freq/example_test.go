@@ -24,28 +24,29 @@ func ExampleNew() {
 	// true
 }
 
-// ExampleNewWindowed keeps a rolling top-k over the last 3 intervals:
-// each Rotate retires the oldest interval, so early traffic ages out of
-// the window while an all-time sketch would remember it forever.
-func ExampleNewWindowed() {
-	wd, err := freq.NewWindowed[string](64, 3)
+// ExampleNewConcurrentWindowed keeps a rolling top-k over the last 3
+// intervals: each Rotate retires the oldest interval, so early traffic
+// ages out of the window while an all-time sketch would remember it
+// forever.
+func ExampleNewConcurrentWindowed() {
+	cw, err := freq.NewConcurrentWindowed[string](64, 3)
 	if err != nil {
 		panic(err)
 	}
-	wd.Update("old-hot-flow", 9000)
-	wd.Rotate()
-	wd.Update("steady-flow", 400)
-	wd.Rotate()
-	wd.Update("steady-flow", 500)
+	cw.Update("old-hot-flow", 9000)
+	cw.Rotate()
+	cw.Update("steady-flow", 400)
+	cw.Rotate()
+	cw.Update("steady-flow", 500)
 
-	for _, r := range wd.Query().Limit(2).Collect() { // window still covers all three intervals
+	for _, r := range cw.Query().Limit(2).Collect() { // window still covers all three intervals
 		fmt.Println(r.Item, r.Estimate)
 	}
-	wd.Rotate() // "old-hot-flow"'s interval leaves the window
-	for _, r := range wd.Query().Limit(2).Collect() {
+	cw.Rotate() // "old-hot-flow"'s interval leaves the window
+	for _, r := range cw.Query().Limit(2).Collect() {
 		fmt.Println(r.Item, r.Estimate)
 	}
-	fmt.Println(wd.Last(1).StreamWeight()) // the fresh head interval is empty
+	fmt.Println(cw.Last(1).StreamWeight()) // the fresh head interval is empty
 	// Output:
 	// old-hot-flow 9000
 	// steady-flow 900

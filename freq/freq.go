@@ -416,7 +416,7 @@ func (s *Sketch[T]) Clear() { s.clearInPlace() }
 
 // clearInPlace empties the sketch without allocating: the fast path
 // recycles its table via core.Clear, the generic path clears its map in
-// place. It is the slot-recycling step of Windowed rotation.
+// place. It is the slot-recycling step of ConcurrentWindowed rotation.
 func (s *Sketch[T]) clearInPlace() {
 	if s.fast != nil {
 		s.fast.Clear()

@@ -119,10 +119,10 @@ func WithSampleSize(l int) Option {
 //
 // Multi-sketch front-ends never let a pinned seed correlate their
 // internals: NewSigned derives a distinct seed per side (and asserts
-// the sides differ even on the zero-seed random path), and NewWindowed
-// derives a distinct seed per ring slot. Pinning the seed therefore
-// reproduces each composite exactly without ever giving two of its
-// member sketches identical probe behaviour.
+// the sides differ even on the zero-seed random path), and
+// NewConcurrentWindowed derives a distinct seed per ring slot. Pinning
+// the seed therefore reproduces each composite exactly without ever
+// giving two of its member sketches identical probe behaviour.
 func WithSeed(seed uint64) Option {
 	return func(c *config) error {
 		c.seed = seed

@@ -47,6 +47,8 @@ var (
 	_ Queryable[string] = (*Concurrent[string])(nil)
 	_ Queryable[int64]  = (*Signed[int64])(nil)
 	_ Queryable[int64]  = (*View[int64])(nil)
+	_ Queryable[int64]  = (*ConcurrentWindowed[int64])(nil)
+	_ Queryable[string] = (*ConcurrentWindowed[string])(nil)
 )
 
 // Order selects the row ordering a Query applies before Limit/Offset.

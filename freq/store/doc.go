@@ -1,12 +1,12 @@
 // Package store persists rotated window slots into a durable,
 // queryable, time-partitioned on-disk log — the historical continuation
-// of a freq.Windowed ring.
+// of a freq.ConcurrentWindowed ring.
 //
 // A live window answers "what was frequent in the last N intervals";
 // everything older is gone the moment its slot is recycled. A Store
 // catches those slots on their way out: installed as the window's
-// rotation sink (Windowed.SetRotationSink), it encodes each retired
-// interval through the alloc-free sketch wire format into an
+// rotation sink (ConcurrentWindowed.SetRotationSink), it encodes each
+// retired interval through the alloc-free sketch wire format into an
 // append-only partition file, and Query(from, to) later rebuilds the
 // summary of any historical range by merging the covered slots — the
 // same lossless fold (Theorem 5 of the paper) the window itself uses,

@@ -105,11 +105,11 @@ func WithSync(on bool) Option {
 }
 
 // Store is a durable, append-only, time-partitioned log of retired
-// sketch slots: the on-disk continuation of a Windowed ring. It
-// implements freq.RotationSink, so installing it on a window
-// (Windowed.SetRotationSink) persists every interval the moment it
-// finishes; Query then serves arbitrary historical ranges through the
-// same freq.Queryable surface the live window serves.
+// sketch slots: the on-disk continuation of a ConcurrentWindowed ring.
+// It implements freq.RotationSink, so installing it on a window
+// (ConcurrentWindowed.SetRotationSink) persists every interval the
+// moment it finishes; Query then serves arbitrary historical ranges
+// through the same freq.Queryable surface the live window serves.
 //
 // Beside this default history, a Store keeps one history per tenant
 // under <dir>/tenants/<escaped-id>/ (AppendTenant, QueryTenantInto):
@@ -341,12 +341,12 @@ func (st *Store[T]) manifestLocked(extra ...string) manifest {
 }
 
 // AppendSlot persists one retired window interval covering [start, end)
-// — the freq.RotationSink contract, called by Windowed at each
-// rotation. The slot is encoded through the alloc-free AppendBinary
-// path into the partition owning start (rolling to a new partition file
-// at each boundary), compressed by the store codec when that wins, and
-// CRC-stamped. With retention configured, expired partitions are
-// dropped afterwards.
+// — the freq.RotationSink contract, called by ConcurrentWindowed at
+// each rotation with the window's lock held. The slot is encoded
+// through the alloc-free AppendBinary path into the partition owning
+// start (rolling to a new partition file at each boundary), compressed
+// by the store codec when that wins, and CRC-stamped. With retention
+// configured, expired partitions are dropped afterwards.
 func (st *Store[T]) AppendSlot(v *freq.View[T], start, end time.Time) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -445,7 +445,7 @@ func (st *Store[T]) rollLocked(bucket int64) error {
 
 // Query merges every persisted slot overlapping the half-open range
 // [from, to) into one summary and returns it as a read view — the
-// historical generalization of Windowed.Last, serving the same
+// historical generalization of ConcurrentWindowed.Last, serving the same
 // freq.Queryable surface (the Query builder, AppendBinary). Partitions
 // decode in parallel on the store's worker pool; each block folds into
 // the accumulator straight from its decoded bytes (Sketch.MergeBinary),

@@ -59,7 +59,7 @@ func TestRoundTripWindowed(t *testing.T) {
 	}
 	defer st.Close()
 
-	w, err := freq.NewWindowed[int64](4096, 4)
+	w, err := freq.NewConcurrentWindowed[int64](4096, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

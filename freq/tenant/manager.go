@@ -1,10 +1,11 @@
 // Package tenant multiplexes the frequent-items service across many
 // independent streams: a Manager owns a bounded registry of lazily
 // created per-tenant summaries (each a Concurrent sketch plus an
-// optional Windowed twin, geometry stamped from one shared template)
-// and recycles retired tenants' tables through a warm pool, so tenant
-// churn at steady state allocates nothing — the same core.Clear /
-// Concurrent.Reset machinery that makes window rotation alloc-free.
+// optional ConcurrentWindowed twin, geometry stamped from one shared
+// template) and recycles retired tenants' tables through a warm pool,
+// so tenant churn at steady state allocates nothing — the same
+// core.Clear / Concurrent.Reset machinery that makes window rotation
+// alloc-free.
 //
 // Quotas bound every axis: MaxCounters caps each tenant's summary,
 // MaxTenants caps the registry (capacity pressure evicts the idlest
@@ -116,11 +117,6 @@ type Config struct {
 	// ticker) retire tenants untouched for this long. Zero keeps idle
 	// tenants until capacity pressure evicts them.
 	IdleTTL time.Duration
-	// PoolSize caps the warm pool of retired tenant tables (0 means
-	// MaxTenants, so any churn pattern is alloc-free at steady state).
-	// Pool entries hold full-size summaries; shrink this to trade churn
-	// allocations for memory.
-	PoolSize int
 }
 
 // Tenant is one live per-tenant summary, pinned by Acquire. The sketch
@@ -264,9 +260,6 @@ func New[T comparable](cfg Config) (*Manager[T], error) {
 	if cfg.MaxTenants < 1 || cfg.MaxCounters < 1 {
 		return nil, fmt.Errorf("tenant: MaxTenants and MaxCounters must be positive (got %d, %d)",
 			cfg.MaxTenants, cfg.MaxCounters)
-	}
-	if cfg.PoolSize == 0 || cfg.PoolSize > cfg.MaxTenants {
-		cfg.PoolSize = cfg.MaxTenants
 	}
 	m := &Manager[T]{
 		cfg:     cfg,
@@ -454,7 +447,7 @@ func (m *Manager[T]) evictLocked(t *Tenant[T], end time.Time) {
 		t.win.Reset()
 	}
 	m.evictions++
-	if len(m.pool) < m.cfg.PoolSize {
+	if len(m.pool) < m.cfg.MaxTenants {
 		m.pool = append(m.pool, t)
 	}
 }
@@ -590,7 +583,7 @@ func (m *Manager[T]) Drain(end time.Time) error {
 
 // SinkErr returns the most recent eviction-path sink failure, or nil.
 // Evictions never block on a failing sink; the error is recorded here
-// for the operator, mirroring Windowed.SinkErr.
+// for the operator, mirroring ConcurrentWindowed.SinkErr.
 func (m *Manager[T]) SinkErr() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,16 +1,23 @@
-// Windowed ring tests: rotation/expiry semantics, the window-scoped ==
-// fresh-sketch property, alloc-free rotation, epoch-cached views, ring
-// serialization, and the concurrent wrapper (including the race test the
-// CI -race run exercises).
+// Sliding-window tests: rotation/expiry semantics, the window-scoped ==
+// fresh-sketch property, alloc-free rotation, the cached merged view,
+// Last snapshots, ring serialization, rotation sinks and drivers, and
+// the race test the CI -race run exercises.
 package freq
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // collectRows returns every row of q ordered by descending estimate
@@ -21,46 +28,46 @@ func collectRows[T comparable](q Queryable[T]) []Row[T] {
 }
 
 func TestWindowedConstruction(t *testing.T) {
-	if _, err := NewWindowed[int64](64, 0); !errors.Is(err, ErrBadIntervals) {
+	if _, err := NewConcurrentWindowed[int64](64, 0); !errors.Is(err, ErrBadIntervals) {
 		t.Fatalf("intervals=0: got %v, want ErrBadIntervals", err)
 	}
-	if _, err := NewWindowed[int64](64, -3); !errors.Is(err, ErrBadIntervals) {
+	if _, err := NewConcurrentWindowed[int64](64, -3); !errors.Is(err, ErrBadIntervals) {
 		t.Fatalf("intervals=-3: got %v, want ErrBadIntervals", err)
 	}
-	if _, err := NewWindowed[int64](0, 4); !errors.Is(err, ErrTooFewCounters) {
+	if _, err := NewConcurrentWindowed[int64](0, 4); !errors.Is(err, ErrTooFewCounters) {
 		t.Fatalf("k=0: got %v, want ErrTooFewCounters", err)
 	}
-	wd, err := NewWindowed[int64](128, 6)
+	cw, err := NewConcurrentWindowed[int64](128, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wd.Intervals() != 6 || wd.IntervalCounters() != 128 || wd.Rotations() != 0 {
-		t.Fatalf("accessors: got (%d, %d, %d)", wd.Intervals(), wd.IntervalCounters(), wd.Rotations())
+	if cw.Intervals() != 6 || cw.IntervalCounters() != 128 || cw.Rotations() != 0 {
+		t.Fatalf("accessors: got (%d, %d, %d)", cw.Intervals(), cw.IntervalCounters(), cw.Rotations())
 	}
 }
 
 func TestWindowedPinnedSeedDistinctPerSlot(t *testing.T) {
-	wd, err := NewWindowed[int64](64, 8, WithSeed(42))
+	cw, err := NewConcurrentWindowed[int64](64, 8, WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint64]int{}
-	for i, s := range wd.slots {
+	for i, s := range cw.slots {
 		seen[s.fast.Seed()]++
 		if s.fast.Seed() == 0 {
 			t.Fatalf("slot %d: zero derived seed", i)
 		}
 	}
-	if len(seen) != len(wd.slots) {
-		t.Fatalf("pinned seed shared between slots: %d distinct of %d", len(seen), len(wd.slots))
+	if len(seen) != len(cw.slots) {
+		t.Fatalf("pinned seed shared between slots: %d distinct of %d", len(seen), len(cw.slots))
 	}
 	// Reproducibility: the same pinned seed derives the same slot seeds.
-	wd2, err := NewWindowed[int64](64, 8, WithSeed(42))
+	cw2, err := NewConcurrentWindowed[int64](64, 8, WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range wd.slots {
-		if wd.slots[i].fast.Seed() != wd2.slots[i].fast.Seed() {
+	for i := range cw.slots {
+		if cw.slots[i].fast.Seed() != cw2.slots[i].fast.Seed() {
 			t.Fatalf("slot %d: pinned seeds not reproducible", i)
 		}
 	}
@@ -68,48 +75,48 @@ func TestWindowedPinnedSeedDistinctPerSlot(t *testing.T) {
 
 func TestWindowedExpiry(t *testing.T) {
 	const n = 4
-	wd, err := NewWindowed[int64](64, n)
+	cw, err := NewConcurrentWindowed[int64](64, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wd.Update(7, 100); err != nil {
+	if err := cw.Update(7, 100); err != nil {
 		t.Fatal(err)
 	}
 	// The item stays in scope for the n-1 rotations after its interval.
 	for r := 0; r < n-1; r++ {
-		wd.Rotate()
-		if got := wd.Estimate(7); got != 100 {
+		cw.Rotate()
+		if got := cw.Estimate(7); got != 100 {
 			t.Fatalf("after %d rotations: estimate=%d, want 100", r+1, got)
 		}
 	}
 	// The n-th rotation recycles its slot: fully out of scope.
-	wd.Rotate()
-	if got := wd.Estimate(7); got != 0 {
+	cw.Rotate()
+	if got := cw.Estimate(7); got != 0 {
 		t.Fatalf("after %d rotations: estimate=%d, want 0", n, got)
 	}
-	if got := wd.StreamWeight(); got != 0 {
+	if got := cw.StreamWeight(); got != 0 {
 		t.Fatalf("expired weight still counted: N=%d", got)
 	}
-	if got := wd.Rotations(); got != n {
+	if got := cw.Rotations(); got != n {
 		t.Fatalf("rotations=%d, want %d", got, n)
 	}
 }
 
 func TestWindowedWriteValidation(t *testing.T) {
-	wd, err := NewWindowed[int64](64, 2)
+	cw, err := NewConcurrentWindowed[int64](64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wd.Update(1, -5); !errors.Is(err, ErrNegativeWeight) {
+	if err := cw.Update(1, -5); !errors.Is(err, ErrNegativeWeight) {
 		t.Fatalf("negative weight: got %v", err)
 	}
-	if err := wd.UpdateWeightedBatch([]int64{1, 2}, []int64{1}); !errors.Is(err, ErrLengthMismatch) {
+	if err := cw.UpdateWeightedBatch([]int64{1, 2}, []int64{1}); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("length mismatch: got %v", err)
 	}
-	if err := wd.UpdateWeightedBatch([]int64{1, 2}, []int64{1, -1}); !errors.Is(err, ErrNegativeWeight) {
+	if err := cw.UpdateWeightedBatch([]int64{1, 2}, []int64{1, -1}); !errors.Is(err, ErrNegativeWeight) {
 		t.Fatalf("negative batch weight: got %v", err)
 	}
-	if got := wd.StreamWeight(); got != 0 {
+	if got := cw.StreamWeight(); got != 0 {
 		t.Fatalf("rejected updates leaked weight: N=%d", got)
 	}
 }
@@ -127,7 +134,7 @@ func TestWindowedScopedEqualsFreshProperty(t *testing.T) {
 		rounds    = 11 // ~3 full wraps of the ring
 	)
 	rng := rand.New(rand.NewSource(0x57a7))
-	wd, err := NewWindowed[int64](k, intervals)
+	cw, err := NewConcurrentWindowed[int64](k, intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +157,7 @@ func TestWindowedScopedEqualsFreshProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got := collectRows[int64](wd.Last(w))
+			got := collectRows[int64](cw.Last(w))
 			want := collectRows[int64](fresh)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d width %d: scoped rows diverge from fresh sketch\n got %v\nwant %v",
@@ -159,14 +166,14 @@ func TestWindowedScopedEqualsFreshProperty(t *testing.T) {
 		}
 		// The Queryable surface of the ring itself answers as the
 		// full-width view.
-		if got, want := collectRows[int64](wd), collectRows[int64](wd.Last(intervals)); !reflect.DeepEqual(got, want) {
+		if got, want := collectRows[int64](cw), collectRows[int64](cw.Last(intervals)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("full-window rows != Last(%d) rows", intervals)
 		}
 	}
 
 	for r := 0; r < rounds; r++ {
 		if r > 0 {
-			wd.Rotate()
+			cw.Rotate()
 			if len(history) == intervals {
 				history = history[1:] // the oldest interval left the window
 			}
@@ -179,7 +186,7 @@ func TestWindowedScopedEqualsFreshProperty(t *testing.T) {
 			st.items = append(st.items, item)
 			st.weights = append(st.weights, int64(rng.Intn(500)+1))
 		}
-		if err := wd.UpdateWeightedBatch(st.items, st.weights); err != nil {
+		if err := cw.UpdateWeightedBatch(st.items, st.weights); err != nil {
 			t.Fatal(err)
 		}
 		history = append(history, st)
@@ -192,39 +199,39 @@ func TestWindowedScopedEqualsFreshProperty(t *testing.T) {
 // byte-identical to a fresh sketch fed the same intervals' stream.
 func TestWindowedTopKMatchesFresh(t *testing.T) {
 	const k, intervals = 128, 3
-	wd, _ := NewWindowed[uint64](k, intervals)
+	cw, _ := NewConcurrentWindowed[uint64](k, intervals)
 	fresh, _ := New[uint64](k * intervals)
 	// Interval 0 ages out; intervals 1..3 stay in scope.
 	stale := []uint64{9, 9, 9, 8}
-	wd.UpdateBatch(stale)
+	cw.UpdateBatch(stale)
 	for iv := 1; iv <= intervals; iv++ {
-		wd.Rotate()
+		cw.Rotate()
 		var items []uint64
 		var weights []int64
 		for j := 0; j < 30; j++ {
 			items = append(items, uint64(iv*100+j%17))
 			weights = append(weights, int64(iv*j+1))
 		}
-		if err := wd.UpdateWeightedBatch(items, weights); err != nil {
+		if err := cw.UpdateWeightedBatch(items, weights); err != nil {
 			t.Fatal(err)
 		}
 		if err := fresh.UpdateWeightedBatch(items, weights); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := wd.Last(intervals).Query().Limit(25).Collect()
+	got := cw.Last(intervals).Query().Limit(25).Collect()
 	want := fresh.Query().Limit(25).Collect()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("windowed TopK diverges from fresh sketch\n got %v\nwant %v", got, want)
 	}
-	if wd.Estimate(9) != 0 {
+	if cw.Estimate(9) != 0 {
 		t.Fatal("expired interval leaked into the window")
 	}
 }
 
 func TestWindowedRotateNoAllocsAfterWarmup(t *testing.T) {
 	const k, intervals = 512, 8
-	wd, err := NewWindowed[uint64](k, intervals)
+	cw, err := NewConcurrentWindowed[uint64](k, intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,102 +242,104 @@ func TestWindowedRotateNoAllocsAfterWarmup(t *testing.T) {
 		items[i] = uint64(i * 31)
 	}
 	for r := 0; r < 2*intervals; r++ {
-		wd.UpdateBatch(items)
-		wd.Rotate()
+		cw.UpdateBatch(items)
+		cw.Rotate()
 	}
-	_ = wd.Query().Limit(4).Collect()
-	if allocs := testing.AllocsPerRun(100, wd.Rotate); allocs != 0 {
+	_ = cw.Query().Limit(4).Collect()
+	if allocs := testing.AllocsPerRun(100, cw.Rotate); allocs != 0 {
 		t.Fatalf("Rotate allocates after warm-up: %v allocs/op", allocs)
 	}
 }
 
 func TestWindowedViewCache(t *testing.T) {
-	wd, err := NewWindowed[int64](64, 4)
+	cw, err := NewConcurrentWindowed[int64](64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd.UpdateOne(1)
-	_ = wd.Query().Limit(2).Collect()
-	base := wd.ViewMerges()
-	_ = wd.Query().Limit(2).Collect()
-	_ = wd.Estimate(1)
-	_ = collectRows[int64](wd)
-	if got := wd.ViewMerges(); got != base {
+	cw.UpdateOne(1)
+	_ = cw.Query().Limit(2).Collect()
+	base := cw.ViewMerges()
+	_ = cw.Query().Limit(2).Collect()
+	_ = cw.Estimate(1)
+	_ = collectRows[int64](cw)
+	if got := cw.ViewMerges(); got != base {
 		t.Fatalf("repeated full-window reads re-merged: %d -> %d", base, got)
 	}
-	wd.UpdateOne(2)
-	_ = wd.Query().Limit(2).Collect()
-	if got := wd.ViewMerges(); got == base {
+	cw.UpdateOne(2)
+	_ = cw.Query().Limit(2).Collect()
+	if got := cw.ViewMerges(); got == base {
 		t.Fatal("write did not invalidate the cached view")
 	}
-	base = wd.ViewMerges()
-	wd.Rotate()
-	_ = wd.Query().Limit(2).Collect()
-	if got := wd.ViewMerges(); got == base {
+	base = cw.ViewMerges()
+	cw.Rotate()
+	_ = cw.Query().Limit(2).Collect()
+	if got := cw.ViewMerges(); got == base {
 		t.Fatal("rotation did not invalidate the cached view")
 	}
 	// Width-scoped reads share the cache per width.
-	_ = wd.Last(2).Query().Limit(2).Collect()
-	base = wd.ViewMerges()
-	_ = wd.Last(2).Query().Limit(2).Collect()
-	if got := wd.ViewMerges(); got != base {
-		t.Fatalf("repeated Last(2) reads re-merged: %d -> %d", base, got)
+	_ = cw.FrequentItemsAboveThresholdLast(2, 0, NoFalseNegatives)
+	base = cw.ViewMerges()
+	if _, err := cw.AppendBinaryLast(2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := cw.ViewMerges(); got != base {
+		t.Fatalf("repeated width-2 reads re-merged: %d -> %d", base, got)
 	}
 }
 
 func TestWindowedSerializeRoundTrip(t *testing.T) {
-	wd, err := NewWindowed[int64](64, 3)
+	cw, err := NewConcurrentWindowed[int64](64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 5; r++ {
 		for j := int64(0); j < 20; j++ {
-			if err := wd.Update(int64(r)*100+j, j+1); err != nil {
+			if err := cw.Update(int64(r)*100+j, j+1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if r < 4 {
-			wd.Rotate()
+			cw.Rotate()
 		}
 	}
-	blob, err := wd.MarshalBinary()
+	blob, err := cw.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Decode into a differently-shaped receiver: geometry comes from the
 	// blob.
-	got, err := NewWindowed[int64](6, 1)
+	got, err := NewConcurrentWindowed[int64](6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := got.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if got.Intervals() != wd.Intervals() || got.Rotations() != wd.Rotations() {
+	if got.Intervals() != cw.Intervals() || got.Rotations() != cw.Rotations() {
 		t.Fatalf("geometry: got (%d, %d), want (%d, %d)",
-			got.Intervals(), got.Rotations(), wd.Intervals(), wd.Rotations())
+			got.Intervals(), got.Rotations(), cw.Intervals(), cw.Rotations())
 	}
-	for w := 1; w <= wd.Intervals(); w++ {
-		a, b := collectRows[int64](got.Last(w)), collectRows[int64](wd.Last(w))
+	for w := 1; w <= cw.Intervals(); w++ {
+		a, b := collectRows[int64](got.Last(w)), collectRows[int64](cw.Last(w))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("width %d rows diverge after round trip", w)
 		}
 	}
 	// The decoded ring keeps rotating and ingesting.
 	got.Rotate()
-	wd.Rotate()
+	cw.Rotate()
 	got.UpdateOne(424242)
-	wd.UpdateOne(424242)
-	if !reflect.DeepEqual(collectRows[int64](got), collectRows[int64](wd)) {
+	cw.UpdateOne(424242)
+	if !reflect.DeepEqual(collectRows[int64](got), collectRows[int64](cw)) {
 		t.Fatal("rings diverge after post-decode writes")
 	}
 }
 
 func TestWindowedUnmarshalRejectsCorrupt(t *testing.T) {
-	wd, _ := NewWindowed[int64](64, 2)
-	wd.UpdateOne(1)
-	before := collectRows[int64](wd)
-	blob, err := wd.MarshalBinary()
+	cw, _ := NewConcurrentWindowed[int64](64, 2)
+	cw.UpdateOne(1)
+	before := collectRows[int64](cw)
+	blob, err := cw.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +350,56 @@ func TestWindowedUnmarshalRejectsCorrupt(t *testing.T) {
 		"trailing":  append(append([]byte{}, blob...), 0xFF),
 	}
 	for name, data := range cases {
-		if err := wd.UnmarshalBinary(data); !errors.Is(err, ErrCorrupt) {
+		if err := cw.UnmarshalBinary(data); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
 		}
-		if got := collectRows[int64](wd); !reflect.DeepEqual(got, before) {
+		if got := collectRows[int64](cw); !reflect.DeepEqual(got, before) {
 			t.Fatalf("%s: rejected decode mutated the receiver", name)
+		}
+	}
+}
+
+// TestHugeHeaderDecodeAllocatesLittle: a 40-byte sketch header that
+// claims a full lg-26 table (3·2^24 counters, 805 MB of body) with no
+// body behind it, read by itself and as slot 0 of a 47-byte ring blob,
+// must fail as a short read without sizing a buffer to the claim.
+func TestHugeHeaderDecodeAllocatesLittle(t *testing.T) {
+	header := binary.LittleEndian.AppendUint32(nil, 0x46495331) // "FIS1"
+	header = append(header, 1, 0, 26, 0)                        // version, flags, lg 26, reserved
+	header = binary.LittleEndian.AppendUint32(header, 1024)     // sample size
+	header = binary.LittleEndian.AppendUint64(header, math.Float64bits(0.5))
+	header = binary.LittleEndian.AppendUint64(header, 1<<40) // stream weight
+	header = binary.LittleEndian.AppendUint64(header, 0)     // offset
+	header = binary.LittleEndian.AppendUint32(header, 3<<24) // counters
+	ring := append([]byte(windowedMagic+"\x01\x00\x00"), header...)
+	if len(header) != 40 || len(ring) != 47 {
+		t.Fatalf("inputs of %d and %d bytes, want 40 and 47", len(header), len(ring))
+	}
+	cw, err := NewConcurrentWindowed[int64](64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func() error
+		want   error
+	}{
+		{"core.ReadFromCount", func() error {
+			_, _, err := core.ReadFromCount(bytes.NewReader(header))
+			return err
+		}, io.EOF},
+		{"ConcurrentWindowed.UnmarshalBinary", func() error { return cw.UnmarshalBinary(ring) }, ErrCorrupt},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := c.decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s: got %v, want %v", c.name, err, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s allocated %d bytes, want under 1 MB", c.name, grew)
 		}
 	}
 }
@@ -353,29 +407,29 @@ func TestWindowedUnmarshalRejectsCorrupt(t *testing.T) {
 // TestWindowedGenericBackend exercises the map-backed fallback: the ring
 // works for any comparable item type, with the same expiry semantics.
 func TestWindowedGenericBackend(t *testing.T) {
-	wd, err := NewWindowed[string](64, 2)
+	cw, err := NewConcurrentWindowed[string](64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wd.Update("alpha", 10); err != nil {
+	if err := cw.Update("alpha", 10); err != nil {
 		t.Fatal(err)
 	}
-	wd.Rotate()
-	if err := wd.Update("beta", 5); err != nil {
+	cw.Rotate()
+	if err := cw.Update("beta", 5); err != nil {
 		t.Fatal(err)
 	}
-	if wd.Estimate("alpha") != 10 || wd.Estimate("beta") != 5 {
+	if cw.Estimate("alpha") != 10 || cw.Estimate("beta") != 5 {
 		t.Fatal("window estimates wrong on generic backend")
 	}
-	rows := wd.Query().Limit(2).Collect()
+	rows := cw.Query().Limit(2).Collect()
 	if len(rows) != 2 || rows[0].Item != "alpha" {
 		t.Fatalf("TopK: %v", rows)
 	}
-	wd.Rotate()
-	if wd.Estimate("alpha") != 0 {
+	cw.Rotate()
+	if cw.Estimate("alpha") != 0 {
 		t.Fatal("expired item survived rotation on generic backend")
 	}
-	if wd.Estimate("beta") != 5 {
+	if cw.Estimate("beta") != 5 {
 		t.Fatal("in-scope item lost on generic backend")
 	}
 }
@@ -421,13 +475,15 @@ func TestConcurrentWindowedBasics(t *testing.T) {
 }
 
 // TestConcurrentWindowedRace is the rotation-under-load race test:
-// writers, batch writers, point and row readers, and a rotation driver
+// writers and batch writers, point, row and snapshot readers, the codec
+// and diagnostic methods, manual rotations and a StartRotating driver
 // all hammering one window. Run with -race (CI does for ./freq/...).
 func TestConcurrentWindowedRace(t *testing.T) {
 	cw, err := NewConcurrentWindowed[uint64](256, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stop := cw.StartRotating(time.Millisecond)
 	var wg sync.WaitGroup
 	stopAt := time.Now().Add(150 * time.Millisecond)
 	for g := 0; g < 3; g++ {
@@ -436,9 +492,12 @@ func TestConcurrentWindowedRace(t *testing.T) {
 			defer wg.Done()
 			batch := make([]uint64, 64)
 			for i := 0; time.Now().Before(stopAt); i++ {
-				if i%2 == 0 {
+				switch i % 3 {
+				case 0:
 					_ = cw.Update(uint64(g*1000+i%50), int64(i%7+1))
-				} else {
+				case 1:
+					cw.UpdateOne(uint64(g*1000 + i%50))
+				case 2:
 					for j := range batch {
 						batch[j] = uint64(g*1000 + (i+j)%50)
 					}
@@ -459,8 +518,9 @@ func TestConcurrentWindowedRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var buf []byte
 			for i := 0; time.Now().Before(stopAt); i++ {
-				switch i % 4 {
+				switch i % 12 {
 				case 0:
 					_ = cw.Estimate(uint64(i % 100))
 				case 1:
@@ -472,11 +532,99 @@ func TestConcurrentWindowedRace(t *testing.T) {
 					for range cw.All() {
 						n++
 					}
+				case 4:
+					// A Last view is read outside the lock while the
+					// writers go on.
+					v := cw.Last(1 + i%4)
+					for range v.All() {
+					}
+					_ = v.Estimate(uint64(i % 100))
+				case 5:
+					cw.SetSerDe(nil)
+				case 6:
+					buf, _ = cw.AppendBinary(buf[:0])
+				case 7:
+					_, _ = cw.WriteTo(io.Discard)
+				case 8:
+					_ = cw.NumActive()
+				case 9:
+					_ = cw.IntervalCounters()
+				case 10:
+					_ = cw.String()
+				case 11:
+					_, _, _ = cw.EstimateLast(1+i%4, uint64(i%100))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	stop()
+}
+
+// TestWindowedLastIsSnapshot: a Last view is an independent copy of
+// the merged suffix, so its rows and bounds stay those of the moment it
+// was taken through a later write, a rotation and reads at its own and
+// at other widths, each of which rebuilds the window's cached merge.
+func TestWindowedLastIsSnapshot(t *testing.T) {
+	cw, err := NewConcurrentWindowed[int64](64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New[int64](64 * 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for iv, updates := range [][][2]int64{{{1, 10}, {2, 5}}, {{1, 7}, {3, 4}}} {
+		if iv > 0 {
+			cw.Rotate()
+		}
+		for _, u := range updates {
+			if err := cw.Update(u[0], u[1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Update(u[0], u[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type state struct {
+		rows              []Row[int64]
+		err, weight       int64
+		active            int
+		est, lower, upper [5]int64
+	}
+	read := func(v *View[int64]) state {
+		st := state{rows: collectRows[int64](v), err: v.MaximumError(), weight: v.StreamWeight(), active: v.NumActive()}
+		for item := range int64(5) {
+			st.est[item], st.lower[item], st.upper[item] = v.Estimate(item), v.LowerBound(item), v.UpperBound(item)
+		}
+		return st
+	}
+	v := cw.Last(2)
+	want := read(v)
+	if got := collectRows[int64](fresh); !reflect.DeepEqual(want.rows, got) {
+		t.Fatalf("Last(2) rows %v, want the stream's %v", want.rows, got)
+	}
+	check := func(step string) {
+		t.Helper()
+		if got := read(v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s: Last(2) view changed\n got %+v\nwant %+v", step, got, want)
+		}
+	}
+	if err := cw.Update(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if got := cw.Last(2).Estimate(1); got != 117 {
+		t.Fatalf("a new Last(2) after the write: estimate %d, want 117", got)
+	}
+	check("a write and a new Last(2)")
+	cw.Rotate()
+	_ = cw.Last(2)
+	check("a rotation")
+	_ = cw.FrequentItemsAboveThresholdLast(1, 0, NoFalseNegatives)
+	_ = cw.Query().Collect()
+	_ = cw.Last(3)
+	check("reads at widths 1 and 3")
 }
 
 func TestConcurrentWindowedTicker(t *testing.T) {
@@ -518,28 +666,28 @@ func (r *recordingSink) AppendSlot(v *View[int64], start, end time.Time) error {
 }
 
 func TestRotationSink(t *testing.T) {
-	wd, err := NewWindowed[int64](64, 3)
+	cw, err := NewConcurrentWindowed[int64](64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := time.Unix(1_700_000_000, 0)
 	sink := &recordingSink{}
-	wd.SetRotationSink(sink, base)
+	cw.SetRotationSink(sink, base)
 
 	// Interval 1: some weight on item 7.
-	wd.UpdateOne(7)
-	wd.UpdateOne(7)
-	wd.UpdateOne(9)
-	wd.RotateAt(base.Add(time.Second))
+	cw.UpdateOne(7)
+	cw.UpdateOne(7)
+	cw.UpdateOne(9)
+	cw.RotateAt(base.Add(time.Second))
 	// Interval 2: empty — must NOT reach the sink.
-	wd.RotateAt(base.Add(2 * time.Second))
+	cw.RotateAt(base.Add(2 * time.Second))
 	// Interval 3: different weight.
-	if err := wd.Update(7, 5); err != nil {
+	if err := cw.Update(7, 5); err != nil {
 		t.Fatal(err)
 	}
-	wd.RotateAt(base.Add(3 * time.Second))
+	cw.RotateAt(base.Add(3 * time.Second))
 
-	if err := wd.SinkErr(); err != nil {
+	if err := cw.SinkErr(); err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.bounds) != 2 {
@@ -563,57 +711,39 @@ func TestRotationSink(t *testing.T) {
 		t.Fatalf("slot 1 content: weight=%d est7=%d", sink.weights[1], sink.est7[1])
 	}
 	// The ring advanced on every RotateAt, sink or not.
-	if wd.Rotations() != 3 {
-		t.Fatalf("rotations: got %d, want 3", wd.Rotations())
+	if cw.Rotations() != 3 {
+		t.Fatalf("rotations: got %d, want 3", cw.Rotations())
 	}
 }
 
 func TestRotationSinkError(t *testing.T) {
-	wd, err := NewWindowed[int64](64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Unix(1_700_000_000, 0)
-	boom := errors.New("disk full")
-	wd.SetRotationSink(&recordingSink{err: boom}, base)
-	wd.UpdateOne(1)
-	wd.RotateAt(base.Add(time.Second))
-	// The failure surfaces via SinkErr but never aborts the rotation.
-	if !errors.Is(wd.SinkErr(), boom) {
-		t.Fatalf("SinkErr: got %v, want %v", wd.SinkErr(), boom)
-	}
-	if wd.Rotations() != 1 {
-		t.Fatalf("rotation aborted on sink error: %d rotations", wd.Rotations())
-	}
-	// Plain Rotate with a sink installed stamps real wall-clock bounds
-	// (it routes through RotateAt).
-	ok := &recordingSink{}
-	wd.SetRotationSink(ok, time.Now())
-	wd.UpdateOne(2)
-	wd.Rotate()
-	if len(ok.bounds) != 1 {
-		t.Fatalf("Rotate with sink: saw %d slots, want 1", len(ok.bounds))
-	}
-	if !ok.bounds[0][1].After(ok.bounds[0][0]) {
-		t.Fatalf("Rotate stamped an empty interval: %v", ok.bounds[0])
-	}
-}
-
-func TestConcurrentWindowedRotationSink(t *testing.T) {
 	cw, err := NewConcurrentWindowed[int64](64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := time.Unix(1_700_000_000, 0)
-	sink := &recordingSink{}
-	cw.SetRotationSink(sink, base)
-	cw.UpdateOne(7)
+	boom := errors.New("disk full")
+	cw.SetRotationSink(&recordingSink{err: boom}, base)
+	cw.UpdateOne(1)
 	cw.RotateAt(base.Add(time.Second))
-	if err := cw.SinkErr(); err != nil {
-		t.Fatal(err)
+	// The failure surfaces via SinkErr but never aborts the rotation.
+	if !errors.Is(cw.SinkErr(), boom) {
+		t.Fatalf("SinkErr: got %v, want %v", cw.SinkErr(), boom)
 	}
-	if len(sink.bounds) != 1 || sink.weights[0] != 1 {
-		t.Fatalf("concurrent sink: %d slots, weights %v", len(sink.bounds), sink.weights)
+	if cw.Rotations() != 1 {
+		t.Fatalf("rotation aborted on sink error: %d rotations", cw.Rotations())
+	}
+	// Plain Rotate with a sink installed stamps real wall-clock bounds
+	// (it routes through RotateAt).
+	ok := &recordingSink{}
+	cw.SetRotationSink(ok, time.Now())
+	cw.UpdateOne(2)
+	cw.Rotate()
+	if len(ok.bounds) != 1 {
+		t.Fatalf("Rotate with sink: saw %d slots, want 1", len(ok.bounds))
+	}
+	if !ok.bounds[0][1].After(ok.bounds[0][0]) {
+		t.Fatalf("Rotate stamped an empty interval: %v", ok.bounds[0])
 	}
 }
 

@@ -19,29 +19,29 @@ import (
 // sized k·intervals.
 func TestWindowedViewBudget(t *testing.T) {
 	const k, intervals = 4096, 3
-	wd, err := NewWindowed[int64](k, intervals, WithSeed(5))
+	cw, err := NewConcurrentWindowed[int64](k, intervals, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var item int64
 	for r := range intervals {
 		for range 3 * k {
-			wd.UpdateOne(item)
+			cw.UpdateOne(item)
 			item++
 		}
 		if r < intervals-1 {
-			wd.Rotate()
+			cw.Rotate()
 		}
 	}
 	var errSum int64
 	active := 0
-	for _, s := range wd.slots {
+	for _, s := range cw.slots {
 		errSum += s.MaximumError()
 		active += s.NumActive()
 	}
-	v := wd.Last(intervals)
+	v := cw.merged(intervals)
 	if v.MaximumError() != errSum || v.NumActive() != active {
-		t.Fatalf("Last(%d): error %d over %d counters, want the slots' %d over %d",
+		t.Fatalf("merged(%d): error %d over %d counters, want the slots' %d over %d",
 			intervals, v.MaximumError(), v.NumActive(), errSum, active)
 	}
 }
@@ -89,19 +89,19 @@ func fillWindow[T comparable](t testing.TB, cw *ConcurrentWindowed[T], perSlot i
 // certified reports whether TopKLast answered without merging: the
 // view cache is dropped first, so the merge path always counts merges.
 func certified[T comparable](cw *ConcurrentWindowed[T], w, k int) ([]Row[T], bool) {
-	cw.wd.viewOK = false
-	before := cw.wd.viewMerges
+	cw.viewWidth = 0
+	before := cw.viewMerges
 	rows := cw.TopKLast(w, k)
-	return rows, cw.wd.viewMerges == before
+	return rows, cw.viewMerges == before
 }
 
 // checkWindowRanks compares TopKLast with a full scan of the merged
-// view Last(w), and EstimateLast with its lookups, at every width
+// view merged(w), and EstimateLast with its lookups, at every width
 // 1..N+1 and k in {0, 1, 2, 64, more than the distinct items, MaxInt},
 // counting the certified answers and the merges in paths.
 func checkWindowRanks[T comparable](t testing.TB, name string, cw *ConcurrentWindowed[T], probes []T, paths *[2]int) {
 	n := cw.Intervals()
-	distinct := cw.wd.merged(n).NumActive()
+	distinct := cw.merged(n).NumActive()
 	for w := 1; w <= n+1; w++ {
 		for _, k := range []int{0, 1, 2, 64, distinct + 1, math.MaxInt} {
 			got, ok := certified(cw, w, k)
@@ -110,12 +110,12 @@ func checkWindowRanks[T comparable](t testing.TB, name string, cw *ConcurrentWin
 			} else {
 				paths[1]++
 			}
-			want := scanPage[T](cw.wd.Last(w), 0, k)
+			want := scanPage[T](cw.merged(w), 0, k)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: TopKLast(%d, %d) (certified %v):\n got %v\nwant %v", name, w, k, ok, got, want)
 			}
 		}
-		v := cw.wd.Last(w)
+		v := cw.merged(w)
 		for _, item := range probes {
 			est, lb, ub := cw.EstimateLast(w, item)
 			if est != v.Estimate(item) || lb != v.LowerBound(item) || ub != v.UpperBound(item) {
@@ -244,7 +244,7 @@ func TestWindowTopKPartlyListedItem(t *testing.T) {
 		}
 	}
 	got, ok := certified(cw, 3, 1)
-	if want := scanPage[int64](cw.wd.Last(3), 0, 1); !ok || !slices.Equal(got, want) || got[0].Item != y {
+	if want := scanPage[int64](cw.merged(3), 0, 1); !ok || !slices.Equal(got, want) || got[0].Item != y {
 		t.Fatalf("TopKLast(3, 1) = %v (certified %v), merged view %v, want item %d first", got, ok, want, y)
 	}
 }
@@ -275,7 +275,7 @@ func TestWindowTopKFollowsTheRing(t *testing.T) {
 	check := func(step string, want ...int64) {
 		t.Helper()
 		got, ok := certified(cw, 3, 2)
-		merged := scanPage[int64](cw.wd.Last(3), 0, 2)
+		merged := scanPage[int64](cw.merged(3), 0, 2)
 		if !ok || !slices.Equal(got, merged) || got[0].Item != want[0] || got[1].Item != want[1] {
 			t.Fatalf("%s: TopKLast(3, 2) = %v (certified %v), merged view %v, want items %v", step, got, ok, merged, want)
 		}
@@ -334,11 +334,11 @@ func FuzzWindowTopK(f *testing.F) {
 		for round := range 2 {
 			for _, k := range []int{k, k % 8, 1} {
 				got := cw.TopKLast(w, k)
-				if want := scanPage[int64](cw.wd.Last(w), 0, k); !slices.Equal(got, want) {
+				if want := scanPage[int64](cw.merged(w), 0, k); !slices.Equal(got, want) {
 					t.Fatalf("round %d: TopKLast(%d, %d):\n got %v\nwant %v", round, w, k, got, want)
 				}
 			}
-			v := cw.wd.Last(w)
+			v := cw.merged(w)
 			for item := range int64(8) {
 				est, lb, ub := cw.EstimateLast(w, item)
 				if est != v.Estimate(item) || lb != v.LowerBound(item) || ub != v.UpperBound(item) {

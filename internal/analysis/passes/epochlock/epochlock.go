@@ -212,9 +212,11 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, body *ast.BlockStmt, guard
 					accesses = append(accesses, access{sel: inner, gi: gi, method: sel.Sel.Name, pos: n.Pos()})
 				}
 			}
-			// Call of a //freq:locked function.
+			// Call of a //freq:locked function. A method of a generic
+			// type resolves to an instantiated Func; its Origin is the
+			// annotated declaration.
 			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok {
-				if mu, ok := locked[fn]; ok {
+				if mu, ok := locked[fn.Origin()]; ok {
 					lockedCalls = append(lockedCalls, lockedCall{call: n, fn: fn, mutex: mu, base: types.ExprString(sel.X)})
 				}
 			}
@@ -286,10 +288,12 @@ func funcName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// guardedField resolves a selector to a guarded field contract.
+// guardedField resolves a selector to a guarded field contract. A
+// field of a generic type whose type mentions a type parameter resolves
+// to an instantiated Var; its Origin is the annotated declaration.
 func guardedField(info *types.Info, guarded map[types.Object]guardInfo, sel *ast.SelectorExpr) (guardInfo, bool) {
 	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		gi, ok := guarded[s.Obj()]
+		gi, ok := guarded[s.Obj().(*types.Var).Origin()]
 		return gi, ok
 	}
 	if obj := info.Uses[sel.Sel]; obj != nil {

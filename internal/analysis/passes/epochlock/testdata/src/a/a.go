@@ -92,3 +92,36 @@ func Background(sh *shard) {
 		sh.mu.Unlock()
 	}()
 }
+
+// ring is the same contract on a generic type: its method calls and
+// field selections resolve to instantiated objects, which must still
+// match the annotated declarations.
+type ring[T any] struct {
+	mu    sync.Mutex
+	slots []T //freq:guardedBy(mu)
+}
+
+//freq:locked(mu)
+func (r *ring[T]) headLocked() T { return r.slots[0] }
+
+// Flagged: a generic type's locked helper called without its mutex.
+func (r *ring[T]) Head() T {
+	return r.headLocked() // want `call to //freq:locked\(mu\) function headLocked without holding r\.mu`
+}
+
+// Flagged: a generic type's guarded field touched without its mutex.
+func (r *ring[T]) Len() int {
+	return len(r.slots) // want `access to guarded field r\.slots without holding r\.mu`
+}
+
+// Flagged: the same call through a concrete instantiation.
+func HeadOf(r *ring[int]) int {
+	return r.headLocked() // want `call to //freq:locked\(mu\) function headLocked without holding r\.mu`
+}
+
+// Clean: the locked helper called with the mutex held.
+func (r *ring[T]) LockedHead() T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.headLocked()
+}

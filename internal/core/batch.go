@@ -43,19 +43,7 @@ func (s *Sketch) UpdatePairs(pairs []hashmap.Pair) error {
 		}
 		total += p.Value
 	}
-	i := 0
-	for i < len(pairs) {
-		chunk := s.hm.Capacity() - s.hm.NumActive()
-		if chunk < 1 {
-			chunk = 1
-		}
-		if rem := len(pairs) - i; chunk > rem {
-			chunk = rem
-		}
-		s.hm.AdjustPairs(pairs[i : i+chunk])
-		i += chunk
-		s.checkBudget()
-	}
+	s.absorbChunked(pairs)
 	s.streamN += total
 	return nil
 }

@@ -157,9 +157,12 @@ func (s *Sketch) absorbCounters(pairs []hashmap.Pair) {
 	s.absorbChunked(pairs)
 }
 
-// absorbChunked is the applyBatch pattern over gathered counters: chunks
-// sized to the free-counter headroom, one budget check per chunk, firing
-// at exactly the points a per-counter loop would.
+// absorbChunked is the applyBatch pattern over pairs — gathered
+// counters, or an UpdatePairs batch: chunks sized to the free-counter
+// headroom, one budget check per chunk, firing at exactly the points a
+// per-counter loop would.
+//
+//freq:noalloc
 func (s *Sketch) absorbChunked(pairs []hashmap.Pair) {
 	i := 0
 	for i < len(pairs) {

@@ -392,7 +392,12 @@ func ReadFrom(r io.Reader) (*Sketch, error) {
 // ReadFromCount is ReadFrom reporting the bytes actually read (including
 // partial reads on error, per the io.ReaderFrom convention). The header
 // lives on the stack and the payload in a pooled buffer handed straight
-// to the bulk decoder — no header+body concatenation copy.
+// to the bulk decoder — no header+body concatenation copy. The header's
+// counter count is a claim: the buffer grows only as body bytes arrive,
+// at most doubling what has been read, so a header no body backs costs
+// memory in proportion to the bytes behind it. A short body returns
+// io.ReadFull's errors: io.EOF when no body byte came, otherwise
+// io.ErrUnexpectedEOF.
 func ReadFromCount(r io.Reader) (*Sketch, int64, error) {
 	var consumed int64
 	var header [headerBytes]byte
@@ -405,16 +410,25 @@ func ReadFromCount(r io.Reader) (*Sketch, int64, error) {
 	if err != nil {
 		return nil, consumed, err
 	}
-	bp := getBytes(16 * h.numActive)
-	body := *bp
-	n, err = io.ReadFull(r, body)
-	consumed += int64(n)
-	if err != nil {
-		putBytes(bp)
-		return nil, consumed, err
+	size := 16 * h.numActive
+	bp := getBytes(min(size, 64<<10))
+	for read := 0; read < size; {
+		if read == len(*bp) {
+			*bp = slices.Grow(*bp, read)[:min(size, 2*read)]
+		}
+		n, err = io.ReadFull(r, (*bp)[read:])
+		read += n
+		consumed += int64(n)
+		if err == io.EOF && read > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			putBytes(bp)
+			return nil, consumed, err
+		}
 	}
 	s := new(Sketch)
-	err = loadBody(s, h, body)
+	err = loadBody(s, h, *bp)
 	putBytes(bp)
 	if err != nil {
 		return nil, consumed, err
